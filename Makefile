@@ -1,6 +1,11 @@
 # Convenience targets; `make check` is the one CI should run.
 
-.PHONY: all build test bench bench-smoke trace-smoke shard-smoke check fuzz coverage fmt fmt-check clean
+# shard-smoke times its runs with the `time -p` shell keyword, which
+# dash (a common /bin/sh) lacks; without it both timings read empty and
+# the wall-clock assertion fails on every multi-core machine.
+SHELL := /bin/bash
+
+.PHONY: all build test perfbench-selftest bench bench-smoke trace-smoke shard-smoke check fuzz coverage fmt fmt-check clean
 
 all: build
 
@@ -13,6 +18,15 @@ build:
 test:
 	CLUSEQ_DOMAINS=1 dune runtest --force
 	CLUSEQ_DOMAINS=4 dune runtest --force
+
+# The benchmark package's own self-tests (perfbench/test): quantile and
+# span arithmetic, metric names against BENCHMARK.json, and tiny smoke
+# runs of every workload through the library API the benchmark reads.
+# Kept off `dune runtest` because its smoke runs load every core; `check`
+# runs it on its own, after `test`, so it never overlaps the suite's
+# timing-sensitive tests.
+perfbench-selftest: build
+	dune build @perfbench/test/selftest
 
 bench:
 	dune exec bench/main.exe
@@ -87,18 +101,19 @@ shard-smoke: build
 	echo "shard-smoke: OK"
 
 # Deterministic fuzz sweep over every correctness oracle (differential
-# PST, brute-force similarity, serial reclustering replay, 1-vs-4-domain
-# determinism, sketch-gated vs full reclustering scan). A failure prints
-# a minimized workload and a replay seed; sketch-gate false negatives
-# (possible by design) are reported as notes, not failures.
+# PST, brute-force similarity, compiled and batched scoring, exact merge,
+# serial reclustering replay, 1-vs-4-domain determinism). A failure
+# prints a minimized workload and a replay seed.
 fuzz: build
 	dune exec bin/cluseq_cli.exe -- check --fuzz 200 --seed 42
 
-# Full gate: build, unit tests, the fuzz sweep, the formatting check,
-# the CLI metrics smoke run (generate -> cluster --metrics -> grep),
-# the perf regression smoke gate, the flight-recorder trace smoke
-# gate, and the shard-and-merge smoke gate.
-check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke
+# Full gate: build, unit tests, the benchmark self-tests, the fuzz
+# sweep, the formatting check, the CLI metrics smoke run (generate ->
+# cluster --metrics -> grep), the perf regression smoke gate, the
+# flight-recorder trace smoke gate, and the shard-and-merge smoke gate.
+# Prerequisites run in order (no `make -j`), so the self-tests' all-core
+# smoke load never overlaps `test`.
+check: build test perfbench-selftest fuzz fmt-check bench-smoke trace-smoke shard-smoke
 	@tmp=$$(mktemp -d); \
 	dune exec bin/cluseq_cli.exe -- generate --kind synthetic --num 60 --len 60 \
 	  --clusters 3 -o $$tmp/smoke.tsv >/dev/null; \

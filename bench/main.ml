@@ -6,8 +6,6 @@
      dune exec bench/main.exe -- --scale 0.5  # half-size workloads
      dune exec bench/main.exe -- --domains 4  # domain-pool size (1 = serial)
      dune exec bench/main.exe -- --shards 4   # shard count experiments honor (1 = unsharded)
-     dune exec bench/main.exe -- --no-index   # disable the candidate index
-     dune exec bench/main.exe -- --index-ratio 0.3  # arm the sketch gate (default 0 = off)
      dune exec bench/main.exe -- --list       # experiment inventory
      dune exec bench/main.exe -- --csv out/   # also write tables as CSV
      dune exec bench/main.exe -- --metrics-dir out/  # per-experiment metrics JSON
@@ -221,17 +219,6 @@ let () =
         | "--shards" :: rest ->
             let v, rest = operand ~flag:"--shards" rest in
             Bench_util.shards := positive_int ~flag:"--shards" v;
-            parse rest
-        | "--no-index" :: rest ->
-            Index.set_enabled false;
-            parse rest
-        | "--index-ratio" :: rest ->
-            let v, rest = operand ~flag:"--index-ratio" rest in
-            (match float_of_string_opt v with
-            | Some r -> (
-                try Index.set_ratio r
-                with Invalid_argument _ -> die "--index-ratio expects a value in [0, 1]")
-            | None -> die "--index-ratio expects a value in [0, 1]");
             parse rest
         | flag :: _ when String.length flag > 0 && flag.[0] = '-' ->
             die "unknown option %s (try --list for experiments)" flag

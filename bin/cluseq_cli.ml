@@ -51,20 +51,11 @@ let emit_chrome_trace file () =
 
 (* Returns the verbosity count; reports are emitted via [at_exit] so a
    subcommand needs no explicit teardown. *)
-let setup_obs verbosity metrics trace trace_out journal domains check no_psa no_index
-    index_ratio =
+let setup_obs verbosity metrics trace trace_out journal domains check no_psa =
   let vcount = List.length verbosity in
   Obs.Logging.setup ~level:(Obs.Logging.level_of_verbosity vcount) ();
   (match domains with None -> () | Some d -> Par.set_default_domains d);
   if no_psa then Psa.set_enabled false;
-  if no_index then Index.set_enabled false;
-  (match index_ratio with
-  | None -> ()
-  | Some r -> (
-      try Index.set_ratio r
-      with Invalid_argument _ ->
-        Printf.eprintf "cluseq: --index-ratio must be a finite value in [0, 1]\n";
-        exit 124));
   if check then Check.install_auditor () else Check.install_from_env ();
   (match journal with
   | None -> ()
@@ -177,32 +168,9 @@ let obs_term =
              sequence by the tree walk instead. Results are bit-identical either way; this \
              exists for debugging and for measuring the automaton's speedup end to end.")
   in
-  let no_index =
-    Arg.(
-      value & flag
-      & info [ "no-index" ]
-          ~doc:
-            "Disable the sketch-gated candidate index (and its score-column cache) and score \
-             every (sequence, cluster) pair every iteration — the exact pre-index scan, for \
-             debugging and for measuring the index's pruning end to end.")
-  in
-  let index_ratio =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "index-ratio" ] ~docv:"R"
-          ~doc:
-            "Arm the heuristic sketch gate of the candidate index with a shared-hash-ratio \
-             cutoff in [0, 1]: a (sequence, cluster) pair is scored only when at least \
-             $(docv) of the sequence's sketch hashes hit the cluster's context bitmap. The \
-             default is 0 — gate off, exact score-column cache still on — because the gate \
-             can wrongly prune sequences whose similarity flows through contexts shallower \
-             than the bitmap sees; validate a corpus sample with cluseq check before \
-             enabling (0.3 is the tested starting point).")
-  in
   Term.(
     const setup_obs $ verbosity $ metrics $ trace $ trace_out $ journal $ domains $ check
-    $ no_psa $ no_index $ index_ratio)
+    $ no_psa)
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -729,17 +697,7 @@ let check_cmd =
                   "ok: audited %srun over %s: %d clusters in %d iterations, every oracle \
                    and invariant holds\n"
                   (if shards > 1 then Printf.sprintf "%d-shard " shards else "")
-                  f result.n_clusters result.iterations;
-                (* With --index-ratio R the user is considering the
-                   opt-in sketch gate: also compare gated vs full final
-                   clusterings, the go/no-go signal for enabling it. *)
-                (match Check.index_agrees ~config db with
-                | Check.Index_skipped -> ()
-                | Check.Index_identical ->
-                    Printf.printf "ok: gated scan (ratio %g) matches the full scan\n"
-                      (Index.ratio ())
-                | Check.Index_diverged report ->
-                    Printf.printf "note: index %s\n" report)
+                  f result.n_clusters result.iterations
             | msgs ->
                 List.iter (Printf.eprintf "violation: %s\n") msgs;
                 exit 1))
@@ -748,17 +706,8 @@ let check_cmd =
         let progress i =
           if (i + 1) mod 50 = 0 then Printf.printf "  %d/%d ok\n%!" (i + 1) fuzz_n
         in
-        let diverged = ref 0 in
-        let on_divergence case_seed report =
-          incr diverged;
-          Printf.printf "  note (seed %d): index %s\n%!" case_seed report
-        in
-        match Fuzz.run ~progress ~on_divergence ~n:fuzz_n ~seed () with
-        | Ok n ->
-            Printf.printf "ok: %d fuzz cases, zero oracle mismatches" n;
-            if !diverged > 0 then
-              Printf.printf " (%d sketch-gate false negatives, reported above)" !diverged;
-            print_newline ()
+        match Fuzz.run ~progress ~n:fuzz_n ~seed () with
+        | Ok n -> Printf.printf "ok: %d fuzz cases, zero oracle mismatches\n" n
         | Error failure ->
             Format.eprintf "%a@." Fuzz.pp_failure failure;
             exit 1)

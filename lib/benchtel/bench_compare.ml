@@ -120,18 +120,13 @@ let compare_experiment ~threshold ~quality_threshold (b : Bench_report.experimen
           ~experiment:b.id ~metric:"census.wasted_pair_ratio"
           ~base:(Bench_report.wasted_pair_ratio b.census)
           ~candidate:(Bench_report.wasted_pair_ratio c.census);
-        (* Candidate-index counters (also deterministic). Reuse and
-           pruning falling means the index regressed; min_base skips
-           them against pre-index baselines and on experiments where
-           the index never engaged. *)
+        (* Score-column cache reuse (also deterministic): falling reuse
+           means the cache regressed; min_base skips it against
+           baselines written before the cache existed. *)
         judge ~threshold:census_threshold_pct ~direction:Higher_better ~min_base:1.0
           ~experiment:b.id ~metric:"census.pairs_reused"
           ~base:(float_of_int b.census.pairs_reused)
           ~candidate:(float_of_int c.census.pairs_reused);
-        judge ~threshold:census_threshold_pct ~direction:Higher_better ~min_base:1.0
-          ~experiment:b.id ~metric:"census.index_filtered"
-          ~base:(float_of_int b.census.index_filtered)
-          ~candidate:(float_of_int c.census.index_filtered);
       ]
   in
   (* Drift gauges: skipped when the base predates them (all-zero

@@ -15,7 +15,7 @@
     - {b Model size} (PST nodes built): deterministic given the seed,
       so compared with the plain [threshold_pct].
     - {b Scan census} (pairs scored, dirty rescores, wasted-pair
-      ratio; schema v2): pure counts, bit-identical for a fixed seed
+      ratio, pairs reused; schema v2): pure counts, bit-identical for a fixed seed
       at any domain count, so held to a tight 1% threshold — drift
       beyond rounding is a real algorithmic change. Skipped when the
       base report carries no census (all-zero block).

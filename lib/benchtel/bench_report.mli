@@ -45,19 +45,13 @@ type census = {
   pairs_reused : int;
       (** Matrix entries served from cached score columns instead of a
           fresh evaluation ([cluseq.scan.pairs_reused]); 0 in records
-          written before the candidate index existed. *)
-  index_candidates : int;
-      (** Pairs the sketch gate admitted ([cluseq.index.candidates]);
-          0 when the gate never activated. *)
-  index_filtered : int;
-      (** Pairs the sketch gate pruned ([cluseq.index.filtered]); 0
-          when the gate never activated. *)
+          written before the score-column cache existed. *)
 }
-(** Scan-efficiency census (schema v2; the index fields are a minor
-    addition that reads as 0 from older files): the [cluseq.scan.*]
-    and [cluseq.index.*] counters of one experiment. Deterministic for
-    a fixed seed and any domain count, so comparisons hold it to the
-    tight count-metric noise floor. *)
+(** Scan-efficiency census (schema v2): the [cluseq.scan.*] counters of
+    one experiment. Deterministic for a fixed seed and any domain
+    count, so comparisons hold it to the tight count-metric noise
+    floor. Older files may also carry census fields of the removed
+    sketch gate; readers ignore them. *)
 
 val wasted_pair_ratio : census -> float
 (** [(pairs_scored - pairs_joined) / pairs_scored]; 0 when nothing was

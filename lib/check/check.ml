@@ -194,22 +194,6 @@ let reference_recluster (snap : Cluseq.recluster_snapshot) =
      mutates the live clusters, so scoring "the current model" below is
      always against the same counts the engine saw. *)
   let psts = Array.map (fun (_, pst, _) -> Pst.copy pst) snap.snap_before in
-  (* The candidate gate, rederived independently: cluster bitmaps come
-     from the snapshot's iteration-start model copies (never from the
-     mutating replay copies — the engine, too, gates against pass-start
-     sketches only), sequence sketches from the database. Members
-     bypass the gate, exactly as in the engine. *)
-  let admit =
-    match snap.snap_index_ratio with
-    | None -> fun _ ~before:_ ~ci:_ -> true
-    | Some ratio ->
-        let cl_sketches = Array.map (fun (_, pst, _) -> Index.of_pst pst) snap.snap_before in
-        let seq_sketches =
-          Array.init n (fun i -> Index.sketch_of_sequence (Seq_database.get db i))
-        in
-        fun sid ~before ~ci ->
-          Bitset.mem before sid || Index.admit seq_sketches.(sid) cl_sketches.(ci) ~ratio
-  in
   let members = Array.init k (fun _ -> Bitset.create n) in
   let assignments = Array.make n [] in
   Array.iter
@@ -217,16 +201,14 @@ let reference_recluster (snap : Cluseq.recluster_snapshot) =
       let s = Seq_database.get db sid in
       Array.iteri
         (fun ci (id, _, before) ->
-          if admit sid ~before ~ci then begin
-            let r = Similarity.score psts.(ci) ~log_background:lbg s in
-            if r.log_sim >= snap.snap_log_t then begin
-              Bitset.add members.(ci) sid;
-              (* Only a fresh joiner's best segment feeds the model; a
-                 returning member must not inflate the counts. *)
-              if not (Bitset.mem before sid) then
-                Pst.insert_segment psts.(ci) s ~lo:r.seg_lo ~hi:r.seg_hi;
-              assignments.(sid) <- id :: assignments.(sid)
-            end
+          let r = Similarity.score psts.(ci) ~log_background:lbg s in
+          if r.log_sim >= snap.snap_log_t then begin
+            Bitset.add members.(ci) sid;
+            (* Only a fresh joiner's best segment feeds the model; a
+               returning member must not inflate the counts. *)
+            if not (Bitset.mem before sid) then
+              Pst.insert_segment psts.(ci) s ~lo:r.seg_lo ~hi:r.seg_hi;
+            assignments.(sid) <- id :: assignments.(sid)
           end)
         snap.snap_before)
     snap.snap_order;
@@ -332,65 +314,6 @@ let batch_scoring_matches pst ~log_background blocks =
         block)
     blocks;
   List.rev !errs
-
-(* ------------------------------------------------------------------ *)
-(* Index-gate end-to-end oracle                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The gated scan is allowed to take a different trajectory (pruned
-   outliers lose their [best] entry, threshold samples shrink), but the
-   final clustering — clusters, assignments, outliers — must match the
-   full scan's. On divergence, probe halved ratios to report where the
-   two agree again, and record the divergence on the
-   [cluseq.index.false_negatives] counter. *)
-type index_verdict = Index_skipped | Index_identical | Index_diverged of string
-
-let index_agrees ?config ?ratio db =
-  let enabled0 = Index.enabled () and runtime0 = Index.ratio () in
-  (* The runtime ratio defaults to 0 (gate opt-in), so callers that want
-     to exercise the gate regardless — the fuzz harness — pass the ratio
-     explicitly. *)
-  let ratio0 = Option.value ratio ~default:runtime0 in
-  if not (enabled0 && ratio0 > 0.0) then Index_skipped
-  else
-    Fun.protect
-      ~finally:(fun () ->
-        Index.set_enabled enabled0;
-        Index.set_ratio runtime0)
-      (fun () ->
-        let run_with ~on ~ratio =
-          Index.set_enabled on;
-          Index.set_ratio ratio;
-          Cluseq.run ?config db
-        in
-        let full = run_with ~on:false ~ratio:ratio0 in
-        let same (g : Cluseq.result) =
-          g.clusters = full.clusters && g.assignments = full.assignments
-          && g.outliers = full.outliers
-        in
-        let gated = run_with ~on:true ~ratio:ratio0 in
-        if same gated then Index_identical
-        else begin
-          let diverging = ref 0 in
-          Array.iteri
-            (fun i l -> if l <> full.assignments.(i) then incr diverging)
-            gated.assignments;
-          Index.record_false_negatives (max 1 !diverging);
-          let rec probe r = if r < 1e-3 then None else if same (run_with ~on:true ~ratio:r) then Some r else probe (r /. 2.0) in
-          match probe (ratio0 /. 2.0) with
-          | Some r ->
-              Index_diverged
-                (Printf.sprintf
-                   "gated scan diverges from the full scan at ratio %g (%d assignment rows \
-                    differ); it agrees at ratio %g"
-                   ratio0 !diverging r)
-          | None ->
-              Index_diverged
-                (Printf.sprintf
-                   "gated scan diverges from the full scan at ratio %g (%d assignment rows \
-                    differ) and at every probed smaller ratio"
-                   ratio0 !diverging)
-        end)
 
 (* ------------------------------------------------------------------ *)
 (* Auditor wiring                                                      *)

@@ -49,13 +49,9 @@ val reference_recluster :
     parallel score matrix, no dirty tracking — joining, absorbing and
     recording assignments with the engine's exact rules. Returns the
     per-cluster memberships and per-sequence assignment lists the pass
-    must produce. When the snapshot records an active sketch gate
-    ([snap_index_ratio]), the replay rederives the same gate from the
-    snapshot's iteration-start model copies and skips pruned pairs
-    exactly as the engine did. Because scoring and gating are
-    deterministic, the engine's optimized pass (parallel matrix +
-    dirty-cluster rescoring + sketch gate) must match this replay
-    bit-for-bit. *)
+    must produce. Because scoring is deterministic, the engine's
+    optimized pass (parallel matrix + score-column cache + dirty-cluster
+    rescoring) must match this replay bit-for-bit. *)
 
 val recluster_matches :
   Cluseq.recluster_snapshot ->
@@ -88,30 +84,6 @@ val batch_scoring_matches :
     fuzz harness (check #6) on both the unpruned and a pruned tree, with
     blocks that include the empty block, singletons, and empty
     sequences. *)
-
-type index_verdict =
-  | Index_skipped  (** The index is globally disabled (or the ratio is 0). *)
-  | Index_identical  (** Gated and full scans produced identical clusterings. *)
-  | Index_diverged of string
-      (** A sketch false negative changed the final clustering; the
-          report names the diverging ratio, the number of differing
-          assignment rows, and the largest probed ratio at which the
-          two runs agree. Divergence is a {e heuristic} miss — possible
-          by design for any ratio above 0 — not an engine bug; engine
-          bugs surface as {!Violation} from the installed auditor's
-          gated replay instead. *)
-
-val index_agrees : ?config:Cluseq.config -> ?ratio:float -> Seq_database.t -> index_verdict
-(** End-to-end oracle for the candidate index: run the full scan
-    (index disabled) and the gated scan at [ratio] (default: the
-    current runtime ratio, which starts at 0 — the fuzz harness passes
-    [Index.default_ratio] explicitly so the gate is exercised even
-    though it is opt-in) on the same database and compare the {e final}
-    clusterings — clusters, assignments, and outliers (the trajectory
-    may differ: pruned outlier pairs drop [best] entries). On
-    divergence, records it on [cluseq.index.false_negatives] and probes
-    halved ratios for the largest agreeing one. Restores the global
-    index settings on exit. *)
 
 val auditor : unit -> Cluseq.auditor
 (** An auditor running {!recluster_matches} after every reclustering

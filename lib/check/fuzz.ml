@@ -64,7 +64,7 @@ let dedup msgs =
       end)
     msgs
 
-let run_case ?(on_divergence = ignore) case =
+let run_case case =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
   let add_all prefix = List.iter (fun m -> err "%s: %s" prefix m) in
@@ -230,18 +230,6 @@ let run_case ?(on_divergence = ignore) case =
               err "classify and classify_all disagree on probe %d" i)
           v1
       end);
-  (* --- 5. sketch-gated scan vs full scan --- *)
-  (* The auditor is still installed, so these runs also exercise the
-     gated serial replay — a mismatch there is an engine bug and raises
-     {!Check.Violation}. A different final clustering, by contrast, is
-     a sketch false negative: possible by design for any ratio above 0
-     on adversarial inputs, so it is counted
-     ([cluseq.index.false_negatives]) and surfaced through
-     [on_divergence] rather than failing the case. *)
-  Par.set_default_domains 1;
-  (match Check.index_agrees ~config:cfg ~ratio:Index.default_ratio db with
-  | Check.Index_skipped | Check.Index_identical -> ()
-  | Check.Index_diverged report -> on_divergence report);
   dedup (List.rev !errs)
 
 let drop_at arr i =
@@ -287,12 +275,12 @@ let shrink case ~still_fails =
   done;
   !current
 
-let run ?(progress = ignore) ?(on_divergence = fun _ _ -> ()) ~n ~seed () =
+let run ?(progress = ignore) ~n ~seed () =
   let rec go i =
     if i >= n then Ok n
     else begin
       let case = gen_case ~seed:(seed + i) in
-      match run_case ~on_divergence:(on_divergence (seed + i)) case with
+      match run_case case with
       | [] ->
           progress i;
           go (i + 1)

@@ -44,16 +44,10 @@ val gen_case : seed:int -> case
     node budget high enough that the differential oracle's no-pruning
     requirement holds. *)
 
-val run_case : ?on_divergence:(string -> unit) -> case -> string list
+val run_case : case -> string list
 (** Run every oracle over one case; the (possibly empty) list of
     mismatch messages. Temporarily installs the {!Check} auditor and
-    switches the default domain count; both are restored on exit.
-    [on_divergence] (default [ignore]) receives the diagnostic report
-    when the sketch-gated run produces a different final clustering
-    than the full scan — a heuristic false negative, counted on
-    [cluseq.index.false_negatives] but not treated as a failure (the
-    gated run's {e engine} correctness is separately enforced by the
-    installed auditor's serial replay, which raises on mismatch). *)
+    switches the default domain count; both are restored on exit. *)
 
 val shrink : case -> still_fails:(case -> bool) -> case
 (** Greedy, budget-capped minimization: repeatedly drop a sequence or
@@ -61,16 +55,13 @@ val shrink : case -> still_fails:(case -> bool) -> case
 
 val run :
   ?progress:(int -> unit) ->
-  ?on_divergence:(int -> string -> unit) ->
   n:int ->
   seed:int ->
   unit ->
   (int, failure) result
 (** [run ~n ~seed ()] executes cases [seed, seed+1, …, seed+n-1],
     stopping at the first failure (shrunk before reporting).
-    [progress] is called with each completed case index;
-    [on_divergence] with the case seed and report whenever the index
-    oracle observes a (non-failing) sketch false negative. [Ok n] when
+    [progress] is called with each completed case index. [Ok n] when
     every case passes. *)
 
 val pp_failure : Format.formatter -> failure -> unit

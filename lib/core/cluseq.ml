@@ -32,13 +32,10 @@ let m_dirty_rescores = Obs.Metrics.counter "cluseq.scan.dirty_rescores"
 let m_assignments_changed = Obs.Metrics.counter "cluseq.scan.assignments_changed"
 let g_wasted_ratio = Obs.Metrics.gauge "cluseq.scan.wasted_pair_ratio"
 
-(* Candidate-index accounting: pairs the sketch gate admitted to the
-   scan vs pairs it pruned. Like the census above these are maintained
-   as plain ints inside the pass and only published here. *)
+(* Score-column cache accounting: pairs served from a clean cluster's
+   cached column instead of being rescored. Like the census above it is
+   maintained as a plain int inside the pass and only published here. *)
 let m_pairs_reused = Obs.Metrics.counter "cluseq.scan.pairs_reused"
-let m_index_candidates = Obs.Metrics.counter "cluseq.index.candidates"
-let m_index_filtered = Obs.Metrics.counter "cluseq.index.filtered"
-let h_index_fill = Obs.Metrics.histogram "cluseq.index.fill_seconds"
 
 (* Clustering-quality drift gauges: one observation per iteration (one
    per cluster for ages, one per live pair for KL, one per joined pair
@@ -63,12 +60,6 @@ let h_member_score =
   Obs.Metrics.histogram
     ~buckets:[| 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0 |]
     "cluseq.drift.member_score"
-
-(* Physical sentinel for pairs the candidate gate pruned from the score
-   matrix. A NaN log_sim makes every numeric test in the apply loop
-   (sample collection, join test, best tracking) a no-op on its own;
-   the census tallies tell pruned pairs apart by physical equality. *)
-let not_scored : Similarity.result = { log_sim = Float.nan; seg_lo = -1; seg_hi = -1 }
 
 (* Scoring fan-out granularity: sequences are scored in blocks of this
    many lanes so one compiled automaton streams over a whole block per
@@ -128,10 +119,6 @@ type recluster_snapshot = {
   snap_log_t : float;
   snap_order : int array;
   snap_before : (int * Pst.t * Bitset.t) array;
-  (* [Some ratio] when the candidate gate was active for this pass; the
-     serial replay recomputes the same sketches from the snapshot
-     models and must reproduce the gate's admit decisions exactly. *)
-  snap_index_ratio : float option;
 }
 
 type auditor = {
@@ -159,8 +146,6 @@ type scan_census = {
   dirty_rescores : int;
   assignments_changed : int;
   pairs_reused : int;
-  index_candidates : int;
-  index_filtered : int;
   score_calls : (int * int) array;
 }
 
@@ -227,7 +212,7 @@ let pst_config (cfg : config) ~alphabet_size : Pst.config =
    the domain pool; the greedy argmin and all max-similarity updates run
    on the calling domain in sample order, so the chosen seeds are
    independent of the pool size. *)
-let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n ~index =
+let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n =
   let lbg = Seq_database.log_background db in
   let pool = Array.of_list unclustered in
   if Array.length pool = 0 || k_n <= 0 then []
@@ -240,63 +225,30 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
     (* Compile the frozen models on this domain before fanning out; the
        automata are immutable and shared read-only by the workers. *)
     List.iter Cluster.compile clusters;
-    (* Cluster gate bitmaps, built on this domain for the same reason. *)
-    let cl_sketches =
-      match index with
-      | None -> [||]
-      | Some _ -> Array.of_list (List.map Cluster.sketch clusters)
-    in
-    (* Cache each sample's max similarity to the existing clusters; the
-       greedy loop only adds similarities to freshly created clusters. *)
-    let full_max_sim s =
-      List.fold_left
-        (fun acc cl -> Float.max acc (Cluster.similarity cl ~log_background:lbg s).log_sim)
-        neg_infinity clusters
-    in
     let clusters_arr = Array.of_list clusters in
+    (* Each sample's max similarity to the existing clusters, scored
+       cluster-major over blocks of samples: one batched automaton pass
+       per (cluster, block), folded with [Float.max] in list order. The
+       greedy loop only adds similarities to freshly created clusters. *)
     let max_sim =
-      match index with
-      | None ->
-          (* Ungated: score cluster-major over blocks of samples, one
-             batched automaton pass per (cluster, block). The per-sample
-             [Float.max] fold visits clusters in list order — the same
-             operations in the same order as [full_max_sim], so the
-             maxima are bit-identical. *)
-          let nb = (m + scan_block - 1) / scan_block in
-          let blocks =
-            Par.map_chunks par ~n:nb (fun b ->
-                let lo = b * scan_block in
-                let bn = min scan_block (m - lo) in
-                let seqs = Array.init bn (fun j -> Seq_database.get db samples.(lo + j)) in
-                let batch = Psa.batch_create ~capacity:bn () in
-                let acc = Array.make bn neg_infinity in
-                Array.iter
-                  (fun cl ->
-                    let res = Cluster.similarity_batch cl ~log_background:lbg ~batch seqs in
-                    for j = 0 to bn - 1 do
-                      acc.(j) <- Float.max acc.(j) res.(j).Similarity.log_sim
-                    done)
-                  clusters_arr;
-                acc)
-          in
-          Array.init m (fun j -> blocks.(j / scan_block).(j mod scan_block))
-      | Some (ratio, sketches) ->
-          Par.map_chunks par ~n:m (fun j ->
-              let s = Seq_database.get db samples.(j) in
-              let sk = sketches.(samples.(j)) in
-              let acc = ref neg_infinity and admitted = ref false in
-              List.iteri
-                (fun ci cl ->
-                  if Index.admit sk cl_sketches.(ci) ~ratio then begin
-                    admitted := true;
-                    let v = (Cluster.similarity cl ~log_background:lbg s).log_sim in
-                    if v > !acc then acc := v
-                  end)
-                clusters;
-              (* The greedy argmin below prefers the lowest max-sim; a
-                 sample every cluster gated out would otherwise win with
-                 -inf on no evidence, so fall back to the exact sweep. *)
-              if !admitted || clusters = [] then !acc else full_max_sim s)
+      let nb = (m + scan_block - 1) / scan_block in
+      let blocks =
+        Par.map_chunks par ~n:nb (fun b ->
+            let lo = b * scan_block in
+            let bn = min scan_block (m - lo) in
+            let seqs = Array.init bn (fun j -> Seq_database.get db samples.(lo + j)) in
+            let batch = Psa.batch_create ~capacity:bn () in
+            let acc = Array.make bn neg_infinity in
+            Array.iter
+              (fun cl ->
+                let res = Cluster.similarity_batch cl ~log_background:lbg ~batch seqs in
+                for j = 0 to bn - 1 do
+                  acc.(j) <- Float.max acc.(j) res.(j).Similarity.log_sim
+                done)
+              clusters_arr;
+            acc)
+      in
+      Array.init m (fun j -> blocks.(j / scan_block).(j mod scan_block))
     in
     let taken = Array.make m false in
     let new_clusters = ref [] in
@@ -328,55 +280,38 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
         Cluster.compile cl;
         new_clusters := cl :: !new_clusters;
         (* Update remaining samples' max similarity with the new cluster
-           (read-only scores in parallel, element-wise maxima serially).
-           A freshly seeded cluster rarely has an active context yet, so
-           its gate usually admits everything; when it does fire, a
-           pruned pair just skips the max update. *)
-        let fresh_sketch =
-          match index with None -> Index.empty | Some _ -> Cluster.sketch cl
-        in
+           (read-only scores in parallel, element-wise maxima serially):
+           one batched pass of the fresh cluster's automaton per block,
+           over the still-untaken lanes ([taken] is read-only during the
+           sweep). *)
         let sims =
-          match index with
-          | None ->
-              (* Ungated: one batched pass of the fresh cluster's
-                 automaton per block, over the still-untaken lanes
-                 ([taken] is read-only during the sweep). *)
-              let nb = (m + scan_block - 1) / scan_block in
-              let blocks =
-                Par.map_chunks par ~n:nb (fun b ->
-                    let lo = b * scan_block in
-                    let bn = min scan_block (m - lo) in
-                    let out = Array.make bn neg_infinity in
-                    let pending = Array.make bn 0 in
-                    let np = ref 0 in
-                    for j = 0 to bn - 1 do
-                      if not taken.(lo + j) then begin
-                        pending.(!np) <- j;
-                        incr np
-                      end
-                    done;
-                    if !np > 0 then begin
-                      let seqs =
-                        Array.init !np (fun p ->
-                            Seq_database.get db samples.(lo + pending.(p)))
-                      in
-                      let batch = Psa.batch_create ~capacity:!np () in
-                      let res = Cluster.similarity_batch cl ~log_background:lbg ~batch seqs in
-                      for p = 0 to !np - 1 do
-                        out.(pending.(p)) <- res.(p).Similarity.log_sim
-                      done
-                    end;
-                    out)
-              in
-              Array.init m (fun j -> blocks.(j / scan_block).(j mod scan_block))
-          | Some (ratio, sketches) ->
-              Par.map_chunks par ~n:m (fun j' ->
-                  if taken.(j') then neg_infinity
-                  else if Index.admit sketches.(samples.(j')) fresh_sketch ~ratio then
-                    (Cluster.similarity cl ~log_background:lbg
-                       (Seq_database.get db samples.(j')))
-                      .log_sim
-                  else neg_infinity)
+          let nb = (m + scan_block - 1) / scan_block in
+          let blocks =
+            Par.map_chunks par ~n:nb (fun b ->
+                let lo = b * scan_block in
+                let bn = min scan_block (m - lo) in
+                let out = Array.make bn neg_infinity in
+                let pending = Array.make bn 0 in
+                let np = ref 0 in
+                for j = 0 to bn - 1 do
+                  if not taken.(lo + j) then begin
+                    pending.(!np) <- j;
+                    incr np
+                  end
+                done;
+                if !np > 0 then begin
+                  let seqs =
+                    Array.init !np (fun p -> Seq_database.get db samples.(lo + pending.(p)))
+                  in
+                  let batch = Psa.batch_create ~capacity:!np () in
+                  let res = Cluster.similarity_batch cl ~log_background:lbg ~batch seqs in
+                  for p = 0 to !np - 1 do
+                    out.(pending.(p)) <- res.(p).Similarity.log_sim
+                  done
+                end;
+                out)
+          in
+          Array.init m (fun j -> blocks.(j / scan_block).(j mod scan_block))
         in
         for j' = 0 to m - 1 do
           if (not taken.(j')) && sims.(j') > max_sim.(j') then max_sim.(j') <- sims.(j')
@@ -497,28 +432,6 @@ let run ?(config = default_config) db =
           ("max_iterations", Bench_json.Num (float_of_int cfg.max_iterations));
         ]);
   let threshold = Threshold.create ~t_init:cfg.t_init in
-  (* Candidate index: per-sequence sketches are a pure function of the
-     database, so they are filled once per run, in parallel like the
-     score matrix (bit-identical for any domain count). The gate itself
-     is decided per pass — see [gate_ratio] in the loop. *)
-  let index_allowed = Index.enabled () && Index.ratio () > 0.0 && cfg.max_depth >= Index.q in
-  (* The score-column cache half of the index needs no sketches — only
-     deterministic scoring — so it rides on [Index.enabled] alone; the
-     ratio and depth valves above only guard the sketch gate. *)
-  let cache_on = Index.enabled () in
-  let seq_sketches =
-    if not index_allowed then [||]
-    else
-      Obs.Trace.with_span "index.fill" @@ fun () ->
-      let t0 = if Obs.Metrics.is_enabled () then Timer.now_ns () else 0L in
-      let sk =
-        Par.map_chunks (Par.get_pool ()) ~n (fun i ->
-            Index.sketch_of_sequence (Seq_database.get db i))
-      in
-      if Obs.Metrics.is_enabled () then
-        Obs.Metrics.observe h_index_fill (Timer.span_s t0 (Timer.now_ns ()));
-      sk
-  in
   let min_residual = match cfg.min_residual with Some v -> v | None -> cfg.significance in
   let clusters = ref [] in
   let next_id = ref 0 in
@@ -534,30 +447,6 @@ let run ?(config = default_config) db =
     Obs.Metrics.incr m_iterations;
     Obs.Trace.with_span "iteration" @@ fun () ->
     let iter = !iterations in
-    (* Gate activation for this iteration (generation and reclustering
-       see the same threshold — it only moves in phase 4). Three valves,
-       all required for the gated run to reproduce the full scan:
-       - While the threshold still adjusts, every scored pair feeds the
-         valley histogram, so skipping any pair would shift the
-         threshold trajectory: the gate waits until the samples are
-         inert ([adjust_threshold] off, or the threshold frozen).
-       - Cluster-based examination order sorts sequences by their best
-         score of the previous pass, which pruning perturbs for
-         outliers; the gate stays off under that order.
-       - While log t <= 0 the similarity bar sits at or below the
-         background model, so any sequence can clear it regardless of
-         shared content; pruning on content overlap would be unsound
-         there. *)
-    let gate_ratio =
-      if
-        index_allowed
-        && ((not cfg.adjust_threshold) || Threshold.frozen threshold)
-        && cfg.order <> Order.Cluster_based
-        && Threshold.log_t threshold > 0.0
-      then Some (Index.ratio ())
-      else None
-    in
-    let index = Option.map (fun r -> (r, seq_sketches)) gate_ratio in
     (* --- 1. new cluster generation --- *)
     let fresh =
       phase 0 @@ fun () ->
@@ -582,7 +471,7 @@ let run ?(config = default_config) db =
       in
       let k_n = min k_n (List.length unclustered) in
       generate_new_clusters cfg db rng ~iter ~next_id:!next_id ~clusters:!clusters
-        ~unclustered ~k_n ~index
+        ~unclustered ~k_n
     in
     next_id := !next_id + List.length fresh;
     clusters := !clusters @ fresh;
@@ -610,8 +499,7 @@ let run ?(config = default_config) db =
        afresh: re-inserting stable members every iteration would inflate
        counts without information, making member similarities (and then
        the threshold valley) grow without bound. *)
-    let new_best, new_assignments, samples, census0, member_scores, pending_journal, pruned_info
-        =
+    let new_best, new_assignments, samples, census0, member_scores, pending_journal =
       phase 1 @@ fun () ->
       (* Hoisted journal/drift gates: one bool each for the whole pass, so
          the disabled path adds no closure allocation per scored pair. *)
@@ -620,15 +508,13 @@ let run ?(config = default_config) db =
       let clusters_arr = Array.of_list !clusters in
       let k = Array.length clusters_arr in
       (* Iteration-start memberships, aligned with [clusters_arr]: the
-         apply loop's was-member tests and the gate's member bypass both
-         index it by cluster position. *)
+         apply loop's was-member tests index it by cluster position. *)
       let prev_arr = Array.map (fun cl -> Bitset.copy (Cluster.members cl)) clusters_arr in
       List.iter Cluster.clear_members !clusters;
       let order = Order.arrange cfg.order rng ~n ~best:!best in
       (* Freeze the audit snapshot before any scoring: iteration-start
-         model copies, previous memberships, the threshold, the
-         examination order, and the gate setting — everything a serial
-         replay needs. *)
+         model copies, previous memberships, the threshold and the
+         examination order — everything a serial replay needs. *)
       let snapshot =
         match !auditor with
         | None -> None
@@ -643,83 +529,40 @@ let run ?(config = default_config) db =
                     (fun ci cl ->
                       (Cluster.id cl, Pst.copy (Cluster.pst cl), Bitset.copy prev_arr.(ci)))
                     clusters_arr;
-                snap_index_ratio = gate_ratio;
               }
       in
       (* One compiled scorer per (cluster, pass): clusters untouched since
          their last compile keep the cache; any absorbed segment dropped
          it, so this rebuilds exactly the stale ones — on this domain,
-         before the fan-out. Gate bitmaps share the same lifecycle. *)
+         before the fan-out. *)
       Array.iter Cluster.compile clusters_arr;
-      let gate =
-        match gate_ratio with
-        | None -> None
-        | Some ratio -> Some (ratio, Array.map Cluster.sketch clusters_arr)
-      in
       (* Score-column reuse: a cluster whose PST was not mutated since
          the last pass would score every sequence bit-identically, so
          its cached column substitutes for recomputation. [absorb]
-         drops the cache, so a [Some] here is always current. Cached
-         gate holes ([not_scored]) fall through to a fresh evaluation —
-         they can only be read if an admit decision flipped, which the
-         sticky valves prevent, but computing is always correct. *)
-      let caches =
-        if cache_on then Array.map Cluster.score_cache clusters_arr
-        else Array.make k None
-      in
+         drops the cache, so a [Some] here is always current. *)
+      let caches = Array.map Cluster.score_cache clusters_arr in
       (* Batch-first fan-out: each parallel task owns a block of
          [scan_block] sequences and scores it cluster-major — per
-         cluster, the lanes not satisfied by the score-column cache or
-         pruned by the gate are gathered and scored in ONE batched
-         automaton pass ([Cluster.similarity_batch]). The matrix rows
-         are identical, record for record, to the per-pair sweep this
-         replaces: cache hits install the cached record itself (the
-         apply loop's census relies on that physical identity), pruned
-         pairs install the [not_scored] sentinel, and the batched kernel
-         is bit-for-bit equal to [Cluster.similarity] on each lane. *)
+         uncached cluster, ONE batched automaton pass over the block
+         ([Cluster.similarity_batch], bit-for-bit equal to
+         [Cluster.similarity] on each lane). Cached clusters contribute
+         their cached records. *)
       let nblocks = (n + scan_block - 1) / scan_block in
       let score_blocks =
         Par.map_chunks (Par.get_pool ()) ~n:nblocks (fun b ->
             let lo = b * scan_block in
             let bn = min scan_block (n - lo) in
             let block_seqs = Array.init bn (fun j -> Seq_database.get db (lo + j)) in
-            let rows = Array.init bn (fun _ -> Array.make k not_scored) in
             let batch = Psa.batch_create ~capacity:bn () in
-            (* Lane gather scratch, reused across the k clusters. *)
-            let pending = Array.make (max bn 1) 0 in
-            Array.iteri
-              (fun ci cl ->
-                let np = ref 0 in
-                for j = 0 to bn - 1 do
-                  let sid = lo + j in
+            let cols =
+              Array.mapi
+                (fun ci cl ->
                   match caches.(ci) with
-                  | Some col when col.(sid) != not_scored -> rows.(j).(ci) <- col.(sid)
-                  | _ ->
-                      let admitted =
-                        match gate with
-                        | None -> true
-                        | Some (ratio, cl_sketches) ->
-                            (* Members always bypass the gate: exits must
-                               be decided by a real score, never by a
-                               sketch miss. *)
-                            Bitset.mem prev_arr.(ci) sid
-                            || Index.admit seq_sketches.(sid) cl_sketches.(ci) ~ratio
-                      in
-                      if admitted then begin
-                        pending.(!np) <- j;
-                        incr np
-                      end
-                      (* else: the row already holds [not_scored]. *)
-                done;
-                if !np > 0 then begin
-                  let seqs = Array.init !np (fun p -> block_seqs.(pending.(p))) in
-                  let fresh = Cluster.similarity_batch cl ~log_background:lbg ~batch seqs in
-                  for p = 0 to !np - 1 do
-                    rows.(pending.(p)).(ci) <- fresh.(p)
-                  done
-                end)
-              clusters_arr;
-            rows)
+                  | Some col -> Array.sub col lo bn
+                  | None -> Cluster.similarity_batch cl ~log_background:lbg ~batch block_seqs)
+                clusters_arr
+            in
+            Array.init bn (fun j -> Array.init k (fun ci -> cols.(ci).(j))))
       in
       let scores =
         Array.init n (fun sid -> score_blocks.(sid / scan_block).(sid mod scan_block))
@@ -727,13 +570,11 @@ let run ?(config = default_config) db =
       let new_best = Array.make n None in
       let new_assignments = Array.make n [] in
       let dirty = Array.make k false in
-      (* Census tallies: the parallel matrix above scored every admitted
-         (sequence, cluster) pair — all n×k when the gate is off; serial
-         rescores against dirty clusters add to that. Plain int
+      (* Census tallies: the parallel matrix above scored every pair of
+         the uncached clusters and reused every pair of the cached ones;
+         serial rescores against dirty clusters add to that. Plain int
          arithmetic — deterministic for any domain count, maintained
          whether or not metrics are enabled. *)
-      let scored_base = Array.make k 0 in
-      let reused_base = Array.make k 0 in
       let rescores = Array.make k 0 in
       let joined = ref 0 in
       let fresh_joins = Array.make k 0 in
@@ -746,51 +587,37 @@ let run ?(config = default_config) db =
           let s = Seq_database.get db sid in
           Array.iteri
             (fun ci matrix_r ->
-              (* A pruned pair stays pruned even if the cluster went
-                 dirty: the gate decided against the iteration-start
-                 model, and the serial replay mirrors exactly that. *)
-              if matrix_r != not_scored then begin
-                let cl = clusters_arr.(ci) in
-                (* A matrix entry physically shared with the cached
-                   column was reused, not evaluated; anything else was a
-                   fresh similarity call. The test is serial and
-                   pointer-based, so the tally is domain-count
-                   independent. *)
-                (match caches.(ci) with
-                | Some col when col.(sid) == matrix_r ->
-                    reused_base.(ci) <- reused_base.(ci) + 1
-                | _ -> scored_base.(ci) <- scored_base.(ci) + 1);
-                let r : Similarity.result =
-                  if dirty.(ci) then begin
-                    rescores.(ci) <- rescores.(ci) + 1;
-                    Cluster.similarity cl ~log_background:lbg s
-                  end
-                  else matrix_r
-                in
-                if Float.is_finite r.log_sim then begin
-                  samples := r.log_sim :: !samples;
-                  incr n_samples
-                end;
-                if r.log_sim >= log_t then begin
-                  incr joined;
-                  if drift_on then member_scores.(ci) <- r.log_sim :: member_scores.(ci);
-                  if Bitset.mem prev_arr.(ci) sid then Cluster.add_member cl sid
-                  else begin
-                    Cluster.absorb cl ~seq_id:sid s r;
-                    dirty.(ci) <- true;
-                    fresh_joins.(ci) <- fresh_joins.(ci) + 1;
-                    if jrn then pending := Ev_joined (sid, Cluster.id cl, r.log_sim) :: !pending
-                  end;
-                  new_assignments.(sid) <- Cluster.id cl :: new_assignments.(sid)
+              let cl = clusters_arr.(ci) in
+              let r : Similarity.result =
+                if dirty.(ci) then begin
+                  rescores.(ci) <- rescores.(ci) + 1;
+                  Cluster.similarity cl ~log_background:lbg s
                 end
-                else if jrn && Bitset.mem prev_arr.(ci) sid then
-                  pending := Ev_left (sid, Cluster.id cl, r.log_sim) :: !pending;
-                match new_best.(sid) with
-                | Some (_, b) when b >= r.log_sim -> ()
-                | _ ->
-                    if Float.is_finite r.log_sim then
-                      new_best.(sid) <- Some (Cluster.id cl, r.log_sim)
-              end)
+                else matrix_r
+              in
+              if Float.is_finite r.log_sim then begin
+                samples := r.log_sim :: !samples;
+                incr n_samples
+              end;
+              if r.log_sim >= log_t then begin
+                incr joined;
+                if drift_on then member_scores.(ci) <- r.log_sim :: member_scores.(ci);
+                if Bitset.mem prev_arr.(ci) sid then Cluster.add_member cl sid
+                else begin
+                  Cluster.absorb cl ~seq_id:sid s r;
+                  dirty.(ci) <- true;
+                  fresh_joins.(ci) <- fresh_joins.(ci) + 1;
+                  if jrn then pending := Ev_joined (sid, Cluster.id cl, r.log_sim) :: !pending
+                end;
+                new_assignments.(sid) <- Cluster.id cl :: new_assignments.(sid)
+              end
+              else if jrn && Bitset.mem prev_arr.(ci) sid then
+                pending := Ev_left (sid, Cluster.id cl, r.log_sim) :: !pending;
+              match new_best.(sid) with
+              | Some (_, b) when b >= r.log_sim -> ()
+              | _ ->
+                  if Float.is_finite r.log_sim then
+                    new_best.(sid) <- Some (Cluster.id cl, r.log_sim))
             scores.(sid))
         order;
       Array.iteri (fun i l -> new_assignments.(i) <- List.rev l) new_assignments;
@@ -798,12 +625,11 @@ let run ?(config = default_config) db =
          whole pass: their matrix scores are against a PST that is still
          current, so the next pass can reuse them verbatim. Dirty
          clusters already dropped their cache inside [absorb]. *)
-      if cache_on then
-        Array.iteri
-          (fun ci cl ->
-            if not dirty.(ci) then
-              Cluster.set_score_cache cl (Array.init n (fun sid -> scores.(sid).(ci))))
-          clusters_arr;
+      Array.iteri
+        (fun ci cl ->
+          if not dirty.(ci) then
+            Cluster.set_score_cache cl (Array.init n (fun sid -> scores.(sid).(ci))))
+        clusters_arr;
       if jrn then
         Array.iteri
           (fun ci cl ->
@@ -819,42 +645,28 @@ let run ?(config = default_config) db =
                  clusters_arr)
             ~assignments:(Array.copy new_assignments)
       | _ -> ());
+      let matrix_calls ci = if Option.is_none caches.(ci) then n else 0 in
+      let cached =
+        Array.fold_left (fun acc c -> if Option.is_some c then acc + 1 else acc) 0 caches
+      in
       let total_rescores = Array.fold_left ( + ) 0 rescores in
-      let total_scored = Array.fold_left ( + ) 0 scored_base in
-      let total_reused = Array.fold_left ( + ) 0 reused_base in
-      let admitted = total_scored + total_reused in
       let census0 =
         {
-          pairs_scored = total_scored + total_rescores;
+          pairs_scored = (n * (k - cached)) + total_rescores;
           pairs_joined = !joined;
           dirty_rescores = total_rescores;
           assignments_changed = 0 (* filled in after the convergence test *);
-          pairs_reused = total_reused;
-          index_candidates = (match gate with Some _ -> admitted | None -> 0);
-          index_filtered = (match gate with Some _ -> (n * k) - admitted | None -> 0);
+          pairs_reused = n * cached;
           score_calls =
-            Array.mapi
-              (fun ci cl -> (Cluster.id cl, scored_base.(ci) + rescores.(ci)))
-              clusters_arr;
+            Array.mapi (fun ci cl -> (Cluster.id cl, matrix_calls ci + rescores.(ci))) clusters_arr;
         }
-      in
-      let pruned_info =
-        match gate_ratio with
-        | Some ratio when jrn ->
-            Some
-              ( ratio,
-                Array.mapi
-                  (fun ci cl -> (Cluster.id cl, n - scored_base.(ci) - reused_base.(ci)))
-                  clusters_arr )
-        | _ -> None
       in
       ( new_best,
         new_assignments,
         !samples,
         census0,
         Array.mapi (fun ci cl -> (Cluster.id cl, member_scores.(ci))) clusters_arr,
-        List.rev !pending,
-        pruned_info )
+        List.rev !pending )
     in
     (* Write the scan's deferred journal events now that its timer has
        stopped — still this domain, still scan order, so the journal is
@@ -885,28 +697,6 @@ let run ?(config = default_config) db =
                   ]))
         pending_journal
     end;
-    (* Gate provenance, also deferred past the phase timer: one record
-       per gated iteration with the ratio and the per-cluster prune
-       counts. *)
-    (match pruned_info with
-    | Some (ratio, per_cluster) when census0.index_filtered > 0 ->
-        Obs.Journal.emit "index.pruned" (fun () ->
-            let num v = Bench_json.Num v in
-            let fi = float_of_int in
-            [
-              ("iter", num (fi iter));
-              ("ratio", num ratio);
-              ("candidates", num (fi census0.index_candidates));
-              ("filtered", num (fi census0.index_filtered));
-              ( "clusters",
-                Bench_json.Arr
-                  (Array.to_list per_cluster
-                  |> List.filter (fun (_, f) -> f > 0)
-                  |> List.map (fun (cid, f) ->
-                         Bench_json.Obj
-                           [ ("cluster", num (fi cid)); ("filtered", num (fi f)) ])) );
-            ])
-    | _ -> ());
     (* --- 3. consolidation --- *)
     let dropped =
       phase 2 @@ fun () ->
@@ -1012,8 +802,6 @@ let run ?(config = default_config) db =
     Obs.Metrics.incr ~by:census.dirty_rescores m_dirty_rescores;
     Obs.Metrics.incr ~by:changes m_assignments_changed;
     Obs.Metrics.incr ~by:census.pairs_reused m_pairs_reused;
-    Obs.Metrics.incr ~by:census.index_candidates m_index_candidates;
-    Obs.Metrics.incr ~by:census.index_filtered m_index_filtered;
     Obs.Metrics.set g_wasted_ratio (wasted_pair_ratio census);
     (* --- drift telemetry --- *)
     (* Quality gauges for this iteration, computed outside the phase

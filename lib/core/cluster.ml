@@ -7,13 +7,10 @@ type t = {
      (Cluseq compiles before each read-only fan-out), dropped whenever
      the tree mutates. [None] means "score via the tree walk". *)
   mutable compiled : Psa.t option;
-  (* Candidate-index bitmap over the PST's active contexts, cached with
-     the same lifecycle as [compiled]: built lazily at pass start,
-     dropped whenever the tree mutates. *)
-  mutable sketch : Index.cluster_sketch option;
   (* Previous reclustering pass's score column against this model —
-     valid only while the tree is unchanged (same lifecycle again), in
-     which case a fresh evaluation would be bit-identical. *)
+     valid only while the tree is unchanged (same lifecycle as
+     [compiled]), in which case a fresh evaluation would be
+     bit-identical. *)
   mutable scores : Similarity.result array option;
 }
 
@@ -28,7 +25,6 @@ let create ~id ?(born = 0) ~capacity cfg seed =
     pst;
     members = Bitset.create capacity;
     compiled = None;
-    sketch = None;
     scores = None;
   }
 
@@ -57,14 +53,6 @@ let compile t =
               ])
       end
 
-let sketch t =
-  match t.sketch with
-  | Some s -> s
-  | None ->
-      let s = Index.of_pst t.pst in
-      t.sketch <- Some s;
-      s
-
 let score_cache t = t.scores
 let set_score_cache t col = t.scores <- Some col
 
@@ -87,6 +75,5 @@ let absorb t ~seq_id s (r : Similarity.result) =
        stale. Scores fall back to the tree walk until the next compile —
        which is bit-identical, so callers cannot tell which path ran. *)
     t.compiled <- None;
-    t.sketch <- None;
     t.scores <- None
   end

@@ -45,19 +45,13 @@ val compile : t -> unit
     (re)build journals a [cluster.froze] event when {!Obs.Journal} is
     enabled. *)
 
-val sketch : t -> Index.cluster_sketch
-(** The candidate-index bitmap for the cluster's current PST
-    ({!Index.of_pst}), cached with the same lifecycle as {!compile}:
-    built lazily on the main domain at pass start, dropped by any
-    {!absorb} that grows the tree, so it can never go stale. *)
-
 val score_cache : t -> Similarity.result array option
 (** The previous reclustering pass's score column against this cluster
     (index [sid] → that sequence's {!Similarity.result}), if the PST is
     unchanged since it was computed. Because scoring is deterministic,
     a cached entry is bit-identical to a fresh evaluation against the
-    current model — the candidate index reuses it instead of rescoring.
-    Same lifecycle as {!compile}/{!sketch}: any {!absorb} that grows
+    current model — the reclustering scan reuses it instead of
+    rescoring. Same lifecycle as {!compile}: any {!absorb} that grows
     the tree drops it. *)
 
 val set_score_cache : t -> Similarity.result array -> unit

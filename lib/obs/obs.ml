@@ -707,7 +707,10 @@ module Resource = struct
       major_collections = after.Gc.major_collections - before.Gc.major_collections;
       compactions = after.Gc.compactions - before.Gc.compactions;
       heap_words = after.Gc.heap_words - before.Gc.heap_words;
-      top_heap_words = after.Gc.top_heap_words - before.Gc.top_heap_words;
+      (* Clamped: on OCaml 5 [top_heap_words] is aggregated across
+         domains and can fall when a domain terminates inside the span.
+         The watermark only counts growth. *)
+      top_heap_words = max 0 (after.Gc.top_heap_words - before.Gc.top_heap_words);
     }
 
   let measure f =

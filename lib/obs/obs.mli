@@ -376,8 +376,9 @@ module Resource : sig
         (** Change of the major-heap size over the span; the only field
             that can be negative (compaction can shrink the heap). *)
     top_heap_words : int;
-        (** Growth of the process-lifetime heap watermark during the
-            span. *)
+        (** Growth of the heap watermark during the span, clamped at
+            [0]: on OCaml 5 [Gc.quick_stat]'s [top_heap_words] can fall
+            when a domain terminates inside the span. *)
   }
   (** What one measured span cost the runtime. All fields except
       [heap_words] derive from monotonic [Gc] counters and are

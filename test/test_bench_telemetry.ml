@@ -107,8 +107,6 @@ let experiment ?(id = "table2") ?(wall = 10.0) ?(cluseq_s = 8.0) ?drift:(dr = dr
         dirty_rescores = 150;
         assignments_changed = 420;
         pairs_reused = 2_500;
-        index_candidates = 9_000;
-        index_filtered = 3_500;
       };
     drift = dr;
     quality;
@@ -501,6 +499,69 @@ let test_compare_micro_regression () =
          && v.Bench_compare.metric = "cluseq/similarity-dp")
        verdicts)
 
+(* A record written while the sketch-gated candidate index existed: its
+   census carries the gate's [index_candidates] / [index_filtered]
+   counts and its micro block the gate's kernels. Such files must keep
+   loading and comparing after the gate's removal. *)
+let legacy_index_fixture =
+  {|{
+  "schema": "cluseq-bench", "version": 2,
+  "env": {"label": "baseline", "git_rev": "431842a", "ocaml_version": "5.1.1",
+          "scale": 0.25, "hostname": "vm", "word_size": 64, "domains": 1, "shards": 1},
+  "experiments": {
+    "table2": {
+      "wall_s": 53.7,
+      "cluseq": {"runs": 1, "iterations": 41, "seconds": 0.368,
+                 "phases": {"generation_s": 0.047, "reclustering_s": 0.216,
+                            "consolidation_s": 0.0004, "threshold_s": 0.0102,
+                            "convergence_s": 0.0004}},
+      "throughput": {"sequences": 150, "symbols": 29615},
+      "gc": {"minor_words": 175903019, "promoted_words": 14716481, "major_words": 30241619,
+             "minor_collections": 813, "major_collections": 198, "compactions": 0,
+             "heap_words_delta": 639332, "top_heap_words_delta": 2013443,
+             "peak_heap_words": 1364156},
+      "pst": {"nodes_built": 6788, "est_words_built": 82880},
+      "census": {"pairs_scored": 16426, "pairs_joined": 2441, "dirty_rescores": 6076,
+                 "assignments_changed": 349, "pairs_reused": 16350,
+                 "index_candidates": 9000, "index_filtered": 3500,
+                 "wasted_pair_ratio": 0.8514},
+      "drift": {"churn_rate": 0.0567, "cluster_age": 11.2, "intercluster_kl": 7.96,
+                "member_score": 43.6},
+      "quality": {"metric": "accuracy", "value": 0.2467}
+    }
+  },
+  "micro": {"cluseq/gated-scan-admit": 93.0, "cluseq/index-fill-200sym": 4100.0,
+            "cluseq/similarity-psa-200sym": 2600.0}
+}|}
+
+let test_report_reads_legacy_index_fields () =
+  let r =
+    match Bench_json.parse legacy_index_fixture with
+    | Error msg -> Alcotest.failf "fixture does not parse: %s" msg
+    | Ok json -> (
+        match Bench_report.of_json json with
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "legacy record rejected: %s" msg)
+  in
+  (match r.experiments with
+  | [ e ] ->
+      Alcotest.(check int) "pairs_scored read" 16_426 e.census.pairs_scored;
+      Alcotest.(check int) "pairs_reused read" 16_350 e.census.pairs_reused
+  | es -> Alcotest.failf "expected one experiment, got %d" (List.length es));
+  Alcotest.(check bool) "legacy record compares clean against itself" false
+    (Bench_compare.has_regression (compare_ok r r));
+  (* Against a current run without the gate's micro rows: noted, not
+     failed. *)
+  let current =
+    let kept (name, _) = name = "cluseq/similarity-psa-200sym" in
+    { r with micro = List.filter kept r.micro }
+  in
+  let verdicts = compare_ok r current in
+  Alcotest.(check bool) "dropped gate micro rows do not regress" false
+    (Bench_compare.has_regression verdicts);
+  Alcotest.(check int) "both dropped rows noted" 2
+    (List.length (List.filter (fun v -> v.Bench_compare.status = `Removed) verdicts))
+
 let () =
   Alcotest.run "bench_telemetry"
     [
@@ -515,6 +576,8 @@ let () =
           Alcotest.test_case "json round trip" `Quick test_report_roundtrip;
           Alcotest.test_case "file round trip" `Quick test_report_file_io;
           Alcotest.test_case "rejects foreign documents" `Quick test_report_rejects_foreign;
+          Alcotest.test_case "reads legacy index fields" `Quick
+            test_report_reads_legacy_index_fields;
         ] );
       ( "capture",
         [

@@ -420,6 +420,24 @@ let test_resource_measure_nonneg () =
   Alcotest.(check bool) "compactions non-negative" true (d.compactions >= 0);
   Alcotest.(check bool) "top-heap growth non-negative" true (d.top_heap_words >= 0)
 
+(* On OCaml 5 the raw [top_heap_words] reading can fall when a domain
+   terminates between the two samples; the delta must still read as
+   growth, never as a negative number. *)
+let test_resource_measure_domain_exit () =
+  for trial = 1 to 50 do
+    let _, d =
+      Obs.Resource.measure (fun () ->
+          (* Each domain allocates straight into its major heap, so its
+             heap counts toward the watermark until it exits. *)
+          List.init 3 (fun _ ->
+              Domain.spawn (fun () -> Sys.opaque_identity (Array.make 100_000 0.0)))
+          |> List.iter (fun dm -> ignore (Domain.join dm)))
+    in
+    if d.Obs.Resource.top_heap_words < 0 then
+      Alcotest.failf "trial %d: top-heap growth %d across a domain spawn/join" trial
+        d.top_heap_words
+  done
+
 let test_resource_measure_nesting () =
   let (_, inner), outer =
     Obs.Resource.measure (fun () ->
@@ -567,6 +585,8 @@ let () =
           Alcotest.test_case "delta addition" `Quick test_resource_add;
           Alcotest.test_case "peak-heap sampler" `Quick test_resource_peak_sampler;
           Alcotest.test_case "gauge publication" `Quick test_resource_publish;
+          Alcotest.test_case "measure across domain exit" `Quick
+            test_resource_measure_domain_exit;
         ] );
       ( "runtime-bridge",
         [
