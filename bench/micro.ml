@@ -64,6 +64,13 @@ let tests () =
            ignore (Similarity.score_batch psa ~log_background:lbg ~batch seqs)));
     Test.make ~name:"psa-compile"
       (Staged.stage (fun () -> ignore (Psa.compile trained)));
+    (* One budget-triggered prune of a ~19k-node tree to 80% of its
+       size (the cut [Pst.insert_segment] makes when a tree outgrows
+       [max_nodes]), each run on its own untouched copy. *)
+    Test.make_with_resource ~name:"prune-20k" Test.multiple
+      ~allocate:(fun () -> Pst.copy trained)
+      ~free:ignore
+      (Staged.stage (fun t -> Pst.prune_to t (Pst.n_nodes trained * 4 / 5)));
     Test.make ~name:"edit-distance-200x200"
       (Staged.stage (fun () -> ignore (Edit_distance.distance (next_seq ()) (next_seq ()))));
     Test.make ~name:"block-edit-200x200"

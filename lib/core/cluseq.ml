@@ -531,10 +531,11 @@ let run ?(config = default_config) db =
                     clusters_arr;
               }
       in
-      (* One compiled scorer per (cluster, pass): clusters untouched since
-         their last compile keep the cache; any absorbed segment dropped
-         it, so this rebuilds exactly the stale ones — on this domain,
-         before the fan-out. *)
+      (* A current automaton per cluster before the fan-out: clusters
+         untouched since their last compile (or recompiled mid-pass by
+         [Cluster.similarity] after their last absorb) keep theirs; any
+         later absorbed segment dropped it, so this rebuilds exactly the
+         stale ones — on this domain. *)
       Array.iter Cluster.compile clusters_arr;
       (* Score-column reuse: a cluster whose PST was not mutated since
          the last pass would score every sequence bit-identically, so

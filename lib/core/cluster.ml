@@ -1,15 +1,15 @@
 type t = {
   id : int;
   born : int;
-  pst : Pst.t;
   members : Bitset.t;
-  (* One compiled automaton per frozen tree: built at pass start
-     (Cluseq compiles before each read-only fan-out), dropped whenever
-     the tree mutates. [None] means "score via the tree walk". *)
-  mutable compiled : Psa.t option;
+  (* The PST and its automaton: compiled at pass start (Cluseq
+     compiles before each read-only fan-out), dropped whenever the tree
+     mutates, and rebuilt mid-pass by [Scorer.score] once the tree-walk
+     rescores since the mutation pay for a compile. *)
+  scorer : Scorer.t;
   (* Previous reclustering pass's score column against this model —
-     valid only while the tree is unchanged (same lifecycle as
-     [compiled]), in which case a fresh evaluation would be
+     valid only while the tree is unchanged (same lifecycle as the
+     automaton), in which case a fresh evaluation would be
      bit-identical. *)
   mutable scores : Similarity.result array option;
 }
@@ -22,58 +22,53 @@ let create ~id ?(born = 0) ~capacity cfg seed =
   {
     id;
     born;
-    pst;
     members = Bitset.create capacity;
-    compiled = None;
+    scorer = Scorer.create pst;
     scores = None;
   }
 
 let id t = t.id
 let born t = t.born
-let pst t = t.pst
+let pst t = Scorer.pst t.scorer
 let members t = t.members
 let size t = Bitset.cardinal t.members
 let mem t i = Bitset.mem t.members i
 let add_member t i = Bitset.add t.members i
 let clear_members t = Bitset.clear t.members
 
+(* Journal a [cluster.froze] event for an automaton built since the
+   last [compile] — here or quietly inside [similarity] — so events
+   land where an eager compile at this call would put them, with the
+   same payload: a quiet build saw the same tree, or it would have been
+   dropped. *)
 let compile t =
-  match t.compiled with
-  | Some _ -> ()
-  | None ->
-      if Psa.enabled () then begin
-        let psa = Psa.compile t.pst in
-        t.compiled <- Some psa;
-        if Obs.Journal.is_enabled () then
-          Obs.Journal.emit "cluster.froze" (fun () ->
-              [
-                ("cluster", Bench_json.Num (float_of_int t.id));
-                ("n_states", Bench_json.Num (float_of_int (Psa.n_states psa)));
-                ("size", Bench_json.Num (float_of_int (Bitset.cardinal t.members)));
-              ])
-      end
+  Scorer.compile t.scorer;
+  match Scorer.take_fresh t.scorer with
+  | Some psa when Obs.Journal.is_enabled () ->
+      Obs.Journal.emit "cluster.froze" (fun () ->
+          [
+            ("cluster", Bench_json.Num (float_of_int t.id));
+            ("n_states", Bench_json.Num (float_of_int (Psa.n_states psa)));
+            ("size", Bench_json.Num (float_of_int (Bitset.cardinal t.members)));
+          ])
+  | _ -> ()
 
 let score_cache t = t.scores
 let set_score_cache t col = t.scores <- Some col
 
-let similarity t ~log_background s =
-  match t.compiled with
-  | Some psa -> Similarity.score_psa psa ~log_background s
-  | None -> Similarity.score t.pst ~log_background s
+let similarity t ~log_background s = Scorer.score t.scorer ~log_background s
 
 let similarity_batch t ~log_background ~batch seqs =
-  match t.compiled with
-  | Some psa -> Similarity.score_batch psa ~log_background ~batch seqs
-  | None -> Array.map (Similarity.score t.pst ~log_background) seqs
+  Scorer.score_batch t.scorer ~log_background ~batch seqs
 
 let absorb t ~seq_id s (r : Similarity.result) =
   Obs.Metrics.incr m_absorbs;
   add_member t seq_id;
   if r.seg_lo >= 0 && r.seg_hi >= r.seg_lo then begin
-    Pst.insert_segment t.pst s ~lo:r.seg_lo ~hi:r.seg_hi;
-    (* The tree changed (insertion, possibly pruning): the automaton is
-       stale. Scores fall back to the tree walk until the next compile —
-       which is bit-identical, so callers cannot tell which path ran. *)
-    t.compiled <- None;
+    (* The tree changes (insertion, possibly pruning): the automaton is
+       dropped, and scores go back to the tree walk until they pay for
+       a recompile — bit-identical either way, so callers cannot tell
+       which path ran. The score column goes stale with it. *)
+    Scorer.insert_segment t.scorer s ~lo:r.seg_lo ~hi:r.seg_hi;
     t.scores <- None
   end

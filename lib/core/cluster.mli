@@ -41,9 +41,11 @@ val compile : t -> unit
     current PST, if not already cached and {!Psa.enabled}. Called on the
     main domain at the start of every read-only scoring sweep; any later
     {!absorb} drops the cache, so the automaton can never go stale.
-    Idempotent and cheap when the cache is already present. An actual
-    (re)build journals a [cluster.froze] event when {!Obs.Journal} is
-    enabled. *)
+    Idempotent and cheap when the cache is already present. Journals a
+    [cluster.froze] event when {!Obs.Journal} is enabled and an
+    automaton was built since the last call — by this call, or quietly
+    by {!similarity} — so a mid-pass recompile is announced here, where
+    an eager compile would have been. *)
 
 val score_cache : t -> Similarity.result array option
 (** The previous reclustering pass's score column against this cluster
@@ -59,10 +61,12 @@ val set_score_cache : t -> Similarity.result array -> unit
     must only do this when the PST was not mutated during the pass. *)
 
 val similarity : t -> log_background:float array -> Sequence.t -> Similarity.result
-(** {!Similarity.score} against this cluster's PST — via the compiled
-    automaton when one is cached ({!compile}), via the tree walk
-    otherwise. The two paths are bit-for-bit equal, so the choice is
-    invisible to callers. *)
+(** {!Similarity.score} against this cluster's PST — the one place that
+    picks the engine ({!Scorer.score}): the cached automaton when there
+    is one; after an {!absorb}, the tree walk until the walked symbols
+    pay for a recompile, then the recompiled automaton. The two paths
+    are bit-for-bit equal, so the choice is invisible to callers. May
+    compile, so call it on the main domain. *)
 
 val similarity_batch :
   t ->
@@ -80,4 +84,5 @@ val similarity_batch :
 val absorb : t -> seq_id:int -> Sequence.t -> Similarity.result -> unit
 (** [absorb t ~seq_id s r] adds [seq_id] as a member and inserts the
     maximizing segment [r.seg_lo .. r.seg_hi] of [s] into the PST
-    (paper Sec. 4.2/4.4: only the best segment updates the tree). *)
+    (paper Sec. 4.2/4.4: only the best segment updates the tree). A
+    tree that grew drops its automaton and score column. *)

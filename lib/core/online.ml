@@ -10,14 +10,14 @@ let h_mine = Obs.Metrics.histogram "online.mine_seconds"
 
 type live_cluster = {
   id : int;
-  pst : Pst.t;
   mutable absorbed : int;
-  (* Automaton for the current tree, [None] while stale. Emissions do not
-     fold in the background, so a cached automaton survives the lazy
-     background rebuilds; only tree mutation (feed absorption) drops it.
-     Rebuilt at mine time and on [classify] — not inside [feed], where a
-     joining stream would force a recompile per absorbed sequence. *)
-  mutable compiled : Psa.t option;
+  (* The PST and its automaton. Emissions do not fold in the
+     background, so a cached automaton survives the lazy background
+     rebuilds; only tree mutation (feed absorption) drops it. Compiled
+     at mine time and on [classify]; inside [feed] only once the
+     tree-walk scores since the last absorption pay for it, so a
+     cluster joined on every feed is never recompiled per sequence. *)
+  scorer : Scorer.t;
 }
 
 type stats = {
@@ -93,22 +93,9 @@ let observe_symbols t s =
   t.total_symbols <- t.total_symbols + Array.length s;
   t.background_stale <- true
 
-let refresh_compiled cl =
-  match cl.compiled with
-  | Some _ -> ()
-  | None -> if Psa.enabled () then cl.compiled <- Some (Psa.compile cl.pst)
-
 let score_against t s =
   let lbg = background t in
-  List.map
-    (fun cl ->
-      let r =
-        match cl.compiled with
-        | Some psa -> Similarity.score_psa psa ~log_background:lbg s
-        | None -> Similarity.score cl.pst ~log_background:lbg s
-      in
-      (cl, r))
-    t.clusters
+  List.map (fun cl -> (cl, Scorer.score cl.scorer ~log_background:lbg s)) t.clusters
 
 (* Mining: run batch CLUSEQ over the buffered sequences; each discovered
    cluster becomes a live cluster, and its members leave the buffer. *)
@@ -147,8 +134,8 @@ let mine t =
               Pst.insert_sequence pst pending.(i);
               taken.(i) <- true)
             members;
-          let cl = { id = t.next_id; pst; absorbed = Array.length members; compiled = None } in
-          refresh_compiled cl;
+          let cl = { id = t.next_id; absorbed = Array.length members; scorer = Scorer.create pst } in
+          Scorer.compile cl.scorer;
           t.clusters <- t.clusters @ [ cl ];
           if Obs.Journal.is_enabled () then
             Obs.Journal.emit "online.mined" (fun () ->
@@ -204,8 +191,7 @@ let feed t s =
         (fun (cl, (r : Similarity.result)) ->
           cl.absorbed <- cl.absorbed + 1;
           if r.seg_lo >= 0 && r.seg_hi >= r.seg_lo then begin
-            Pst.insert_segment cl.pst s ~lo:r.seg_lo ~hi:r.seg_hi;
-            cl.compiled <- None
+            Scorer.insert_segment cl.scorer s ~lo:r.seg_lo ~hi:r.seg_hi
           end;
           match !best with
           | Some (_, b) when b >= r.log_sim -> ()
@@ -225,8 +211,8 @@ let feed t s =
 
 let classify t s =
   (* Query path: worth an automaton per cluster (classify is typically
-     called many times between mutations; feed keeps whatever is fresh). *)
-  List.iter refresh_compiled t.clusters;
+     called many times between mutations). *)
+  List.iter (fun cl -> Scorer.compile cl.scorer) t.clusters;
   match score_against t s with
   | [] -> None
   | scored ->

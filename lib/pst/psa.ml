@@ -78,74 +78,103 @@ let compile pst =
   let cfg = Pst.config pst in
   let n = cfg.Pst.alphabet_size in
   let sigma = cfg.Pst.significance in
-  (* --- 1. trie of active labels, oldest symbol first (growable) --- *)
-  let cap = ref 64 in
-  let children = ref (Array.make (!cap * n) (-1)) in
-  let anode = ref (Array.make !cap None) in
+  let root = Pst.root pst in
+  (* --- 1. trie of active labels, oldest symbol first --- *)
+  (* Sized once from the active-node count, which is exact on a
+     never-pruned tree (the closure adds no states); a pruned tree's
+     closure states grow it by doubling. The trie's child table is the
+     transition table itself ([-1] = no child; step 2 fills the gaps in
+     place), so the only heap scratch is a few words per state.
+     [anode] maps a state to its active tree node, with the root as the
+     "none" sentinel for every state but 0. *)
+  let n_active = ref 0 and max_active_depth = ref 0 in
+  let rec count_active node =
+    incr n_active;
+    max_active_depth := max !max_active_depth (Pst.node_depth node);
+    Pst.iter_children node (fun _ child ->
+        if Pst.node_count child >= sigma then count_active child)
+  in
+  count_active root;
+  let new_table cells =
+    let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cells in
+    Bigarray.Array1.fill a (-1);
+    a
+  in
+  let cap = ref !n_active in
+  let trans = ref (new_table (!cap * n)) in
+  let anode = ref (Array.make !cap root) in
   let count = ref 1 in
   let grow () =
     let cap' = 2 * !cap in
-    let c' = Array.make (cap' * n) (-1) in
-    Array.blit !children 0 c' 0 (!cap * n);
-    children := c';
-    let a' = Array.make cap' None in
+    let t' = new_table (cap' * n) in
+    Bigarray.Array1.blit !trans (Bigarray.Array1.sub t' 0 (!cap * n));
+    trans := t';
+    let a' = Array.make cap' root in
     Array.blit !anode 0 a' 0 !cap;
     anode := a';
     cap := cap'
   in
   let add_child u a =
-    let c = !children.((u * n) + a) in
+    let c = Bigarray.Array1.get !trans ((u * n) + a) in
     if c >= 0 then c
     else begin
       if !count >= !cap then grow ();
       let id = !count in
       incr count;
-      !children.((u * n) + a) <- id;
+      Bigarray.Array1.set !trans ((u * n) + a) id;
       id
     end
   in
-  (* DFS over active tree nodes. [path] holds the PST edge symbols with
-     the most recent edge at the head; PST edges prepend older symbols,
-     so the head is the *oldest* context symbol — the trie consumes the
-     list front to back. *)
-  let rec dfs node path =
-    let u = List.fold_left add_child 0 path in
-    !anode.(u) <- Some node;
-    List.iter
-      (fun (s, child) -> if Pst.node_count child >= sigma then dfs child (s :: path))
-      (Pst.node_children node)
+  (* DFS over active tree nodes. [path.(k)] is the PST edge symbol at
+     depth [k + 1]; PST edges prepend older symbols, so a depth-[d]
+     node's label, oldest symbol first, is [path.(d-1) .. path.(0)]. *)
+  let path = Array.make (max 1 !max_active_depth) 0 in
+  let rec dfs node d =
+    let u = ref 0 in
+    for k = d - 1 downto 0 do
+      u := add_child !u path.(k)
+    done;
+    !anode.(!u) <- node;
+    Pst.iter_children node (fun s child ->
+        if Pst.node_count child >= sigma then begin
+          path.(d) <- s;
+          dfs child (d + 1)
+        end)
   in
-  dfs (Pst.root pst) [];
+  dfs root 0;
   let n_states = !count in
-  let children = !children and anode = !anode in
+  let anode = !anode in
+  let trans =
+    if !cap = n_states then !trans
+    else begin
+      let exact = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (n_states * n) in
+      Bigarray.Array1.blit (Bigarray.Array1.sub !trans 0 (n_states * n)) exact;
+      exact
+    end
+  in
   (* --- 2. failure links + dense transitions, BFS (parents first) --- *)
-  let trans = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (n_states * n) in
-  Bigarray.Array1.fill trans 0;
   let fail = Array.make n_states 0 in
-  let pred = Array.make n_states (Pst.root pst) in
-  (match anode.(0) with Some root -> pred.(0) <- root | None -> ());
-  let q = Queue.create () in
+  let pred = Array.make n_states root in
+  let queue = Array.make n_states 0 in
+  let q_head = ref 0 and q_tail = ref 0 in
   let discover c failure =
     fail.(c) <- failure;
-    (pred.(c) <- (match anode.(c) with Some nd -> nd | None -> pred.(failure)));
-    Queue.add c q
+    (pred.(c) <- (let nd = anode.(c) in if nd != root then nd else pred.(failure)));
+    queue.(!q_tail) <- c;
+    incr q_tail
   in
   for a = 0 to n - 1 do
-    let c = children.(a) in
-    if c >= 0 then begin
-      discover c 0;
-      Bigarray.Array1.set trans a c
-    end
+    let c = Bigarray.Array1.get trans a in
+    if c >= 0 then discover c 0 else Bigarray.Array1.set trans a 0
   done;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
+  while !q_head < !q_tail do
+    let u = queue.(!q_head) in
+    incr q_head;
     let base = u * n and fbase = fail.(u) * n in
     for a = 0 to n - 1 do
-      let c = children.(base + a) in
-      if c >= 0 then begin
-        discover c (Bigarray.Array1.get trans (fbase + a));
-        Bigarray.Array1.set trans (base + a) c
-      end
+      let c = Bigarray.Array1.get trans (base + a) in
+      (* [fail u] is shallower, so its row is already final. *)
+      if c >= 0 then discover c (Bigarray.Array1.get trans (fbase + a))
       else Bigarray.Array1.set trans (base + a) (Bigarray.Array1.get trans (fbase + a))
     done
   done;
@@ -155,10 +184,7 @@ let compile pst =
   for u = 0 to n_states - 1 do
     let nd = pred.(u) in
     pred_depth.(u) <- Pst.node_depth nd;
-    let base = u * n in
-    for a = 0 to n - 1 do
-      Bigarray.Array1.set emit (base + a) (Pst.next_log_prob pst nd a)
-    done
+    Pst.write_next_log_probs pst nd emit ~pos:(u * n)
   done;
   Obs.Metrics.incr m_compilations;
   Obs.Metrics.incr ~by:n_states m_compiled_states;

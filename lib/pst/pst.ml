@@ -89,7 +89,8 @@ let rec is_attached n =
   match n.parent with
   | None -> true
   | Some p ->
-      (match Smallmap.find_opt p.children n.sym with Some c -> c == n | None -> false)
+      (let i = Smallmap.find_idx p.children n.sym in
+       i >= 0 && Smallmap.value_at p.children i == n)
       && is_attached p
 
 (* Detach [n] from its parent and account for the removed subtree. *)
@@ -110,16 +111,38 @@ let all_nodes_below t =
   go t.root;
   !acc
 
-(* Remove whole subtrees in a given priority order until under [target]. *)
-let prune_ordered t target order_key =
-  let nodes = all_nodes_below t in
-  let arr = Array.of_list nodes in
-  let keyed = Array.map (fun n -> (order_key n, n)) arr in
-  Array.sort (fun (a, _) (b, _) -> compare a b) keyed;
+(* Remove whole subtrees in increasing [(primary, secondary)] order
+   until under [target]. One traversal lays every non-root node and its
+   two keys into flat arrays, in reverse preorder; [Array.sort] is not
+   stable, so positions decide how ties rank. The pruning reference in
+   lib/check (Ref_prune) sorts [(key, node)] pairs of that same order
+   with polymorphic [compare]; the int comparator below returns the
+   same sign for every pair, so the sort makes the same moves and the
+   same subtrees go. *)
+let prune_ordered t target ~primary ~secondary =
+  let m = t.n_nodes - 1 in
+  let nodes = Array.make m t.root and k1 = Array.make m 0 and k2 = Array.make m 0 in
+  let i = ref m in
+  let rec collect n =
+    Smallmap.iter
+      (fun _ c ->
+        decr i;
+        nodes.(!i) <- c;
+        k1.(!i) <- primary c;
+        k2.(!i) <- secondary c;
+        collect c)
+      n.children
+  in
+  collect t.root;
+  let perm = Array.init m Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Int.compare (Array.unsafe_get k1 i) (Array.unsafe_get k1 j) in
+      if c <> 0 then c else Int.compare (Array.unsafe_get k2 i) (Array.unsafe_get k2 j))
+    perm;
   let i = ref 0 in
-  while t.n_nodes > target && !i < Array.length keyed do
-    let _, n = keyed.(!i) in
-    detach t n;
+  while t.n_nodes > target && !i < m do
+    detach t nodes.(perm.(!i));
     incr i
   done
 
@@ -142,9 +165,12 @@ let divergence_from_parent t n =
       !acc
 
 let prune_expected_vector t target =
-  (* Phase 1: drop insignificant nodes, smallest count first. *)
-  prune_ordered t target (fun n ->
-      if n.count < t.cfg.significance then (0, n.count, -n.depth) else (1, max_int, 0));
+  (* Phase 1: drop insignificant nodes, smallest count first (deeper
+     first among equal counts); significant nodes all rank last, tied. *)
+  let sig_ = t.cfg.significance in
+  prune_ordered t target
+    ~primary:(fun n -> if n.count < sig_ then n.count else max_int)
+    ~secondary:(fun n -> if n.count < sig_ then -n.depth else 0);
   (* Phase 2: while still over budget, peel leaves whose distribution is
      closest to their parent's. Chunked re-scans keep this near O(n log n). *)
   while t.n_nodes > target do
@@ -168,8 +194,10 @@ let prune_to t target =
     Obs.Metrics.incr m_prunings;
     let before = t.n_nodes in
     (match t.cfg.pruning with
-    | Pruning.Smallest_count_first -> prune_ordered t target (fun n -> (n.count, -n.depth))
-    | Pruning.Longest_label_first -> prune_ordered t target (fun n -> (-n.depth, n.count))
+    | Pruning.Smallest_count_first ->
+        prune_ordered t target ~primary:(fun n -> n.count) ~secondary:(fun n -> -n.depth)
+    | Pruning.Longest_label_first ->
+        prune_ordered t target ~primary:(fun n -> -n.depth) ~secondary:(fun n -> n.count)
     | Pruning.Expected_vector_first -> ( try prune_expected_vector t target with Exit -> ()));
     Log.debug (fun m ->
         m "pruned %d -> %d nodes (target %d, %s)" before t.n_nodes target
@@ -252,8 +280,10 @@ let prediction_node t s ~lo ~pos =
   done;
   !node
 
-let next_log_prob t node sym =
-  if sym < 0 || sym >= t.cfg.alphabet_size then invalid_arg "Pst.next_log_prob";
+(* Shared by [next_log_prob] and [write_next_log_probs], so the two
+   compute every estimate with the same float operations. Inlined, the
+   result stays unboxed on its way into a float Bigarray. *)
+let[@inline] smoothed_log_prob t node sym =
   if node.next_total = 0 then t.log_uniform
   else begin
     let raw = float_of_int (Smallmap.get_int node.next sym) /. float_of_int node.next_total in
@@ -263,6 +293,18 @@ let next_log_prob t node sym =
     in
     if p <= 0.0 then neg_infinity else log p
   end
+
+let next_log_prob t node sym =
+  if sym < 0 || sym >= t.cfg.alphabet_size then invalid_arg "Pst.next_log_prob";
+  smoothed_log_prob t node sym
+
+let write_next_log_probs t node
+    (dst : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t) ~pos =
+  if pos < 0 || pos + t.cfg.alphabet_size > Bigarray.Array1.dim dst then
+    invalid_arg "Pst.write_next_log_probs";
+  for sym = 0 to t.cfg.alphabet_size - 1 do
+    Bigarray.Array1.unsafe_set dst (pos + sym) (smoothed_log_prob t node sym)
+  done
 
 let log_prob t s ~lo ~pos = next_log_prob t (prediction_node t s ~lo ~pos) s.(pos)
 
@@ -284,6 +326,8 @@ let find_node t label =
 
 let next_count n sym = Smallmap.get_int n.next sym
 let next_total n = n.next_total
+
+let iter_children n f = Smallmap.iter f n.children
 
 let node_children n =
   List.rev (Smallmap.fold (fun sym child acc -> (sym, child) :: acc) n.children [])

@@ -89,6 +89,14 @@ val next_log_prob : t -> node -> int -> float
     with the [p_min] adjustment applied. A node with no next observations
     yields the uniform [log (1/n)]. *)
 
+val write_next_log_probs :
+  t -> node -> (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t -> pos:int -> unit
+(** [write_next_log_probs t node dst ~pos] stores {!next_log_prob} of
+    every symbol [0 .. n-1] into [dst.{pos} .. dst.{pos + n - 1}] —
+    the same floats, bit for bit, without boxing one per symbol (the
+    {!Psa} emission table is filled this way). Raises
+    [Invalid_argument] if the range does not fit [dst]. *)
+
 val log_prob : t -> Sequence.t -> lo:int -> pos:int -> float
 (** [log_prob t s ~lo ~pos] is
     {m \log \hat P(s_{pos} \mid s_{lo} \ldots s_{pos-1})} via
@@ -127,12 +135,27 @@ val merge : t -> t -> t
     merged tree re-prunes itself if the union exceeds [max_nodes].
     Raises [Invalid_argument] when the configs differ. *)
 
+val iter_children : node -> (int -> node -> unit) -> unit
+(** [iter_children node f] calls [f sym child] for every child, in the
+    order of {!node_children}, without building the list. *)
+
 val next_distribution : t -> node -> float array
 (** The full smoothed probability vector at a node (length |Σ|). *)
 
 val prune_to : t -> int -> unit
 (** [prune_to t target] prunes nodes (never the root) until
     [n_nodes t <= target], using the configured strategy. *)
+
+val detach : t -> node -> unit
+(** [detach t node] removes [node]'s whole subtree from the tree and
+    subtracts its size from {!n_nodes}; a no-op for the root or a node
+    no longer attached. The primitive every pruning strategy is built
+    from — exposed for the pruning oracle in [lib/check]. *)
+
+val divergence_from_parent : t -> node -> float
+(** L1 distance between a node's raw next-symbol distribution and its
+    parent's ([infinity] at the root): the rank [Expected_vector_first]
+    pruning peels leaves by. *)
 
 type stats = {
   nodes : int;

@@ -110,6 +110,130 @@ let test_deterministic_across_domains () =
   Alcotest.(check bool) "census identical at 1 and 4 domains" true (census r1 = census r4)
 
 (* ------------------------------------------------------------------ *)
+(* Lazy mid-pass recompilation                                         *)
+(* ------------------------------------------------------------------ *)
+
+let compilations = Obs.Metrics.counter "pst.compilations"
+
+(* A clustering with the journal on (and optionally metrics), returning
+   the result and the journal entries. *)
+let journaled_run ?(metrics = false) ~config db =
+  let path = Filename.temp_file "cluseq_lazy" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+  if metrics then begin
+    Obs.reset ();
+    Obs.Metrics.enable ()
+  end;
+  Obs.Journal.open_file path;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Journal.close ();
+        Obs.Metrics.disable ())
+      (fun () -> Cluseq.run ~config db)
+  in
+  match Obs.Journal.read_file path with Ok es -> (r, es) | Error m -> Alcotest.fail m
+
+let is_froze (e : Obs.Journal.entry) = e.j_event = "cluster.froze"
+
+let num name (e : Obs.Journal.entry) =
+  match List.assoc_opt name e.j_fields with
+  | Some (Bench_json.Num v) -> int_of_float v
+  | _ -> Alcotest.failf "%s: %s missing" e.j_event name
+
+(* The [cluster.froze] events the eager policy — compile only at
+   creation and before each pass's fan-out — journals: one per seeded
+   cluster, plus one per cluster that grew in an iteration, survived its
+   consolidation and met a later iteration's compile. *)
+let eager_froze_count (r : Cluseq.result) entries =
+  let of_event ev = List.filter (fun (e : Obs.Journal.entry) -> e.j_event = ev) entries in
+  let dismissed = List.map (fun e -> (num "iter" e, num "cluster" e)) (of_event "cluster.dismissed") in
+  let recompiled =
+    List.filter
+      (fun e ->
+        let key = (num "iter" e, num "cluster" e) in
+        fst key < r.iterations && not (List.mem key dismissed))
+      (of_event "cluster.grew")
+  in
+  List.length (of_event "cluster.seeded") + List.length recompiled
+
+let test_lazy_recompile_matches_tree_walk () =
+  let db = (workload ()).Workload.db in
+  let adjusting = { cfg with adjust_threshold = true; t_init = Cluseq.default_config.t_init } in
+  List.iter
+    (fun (name, config) ->
+      let r, entries = journaled_run ~metrics:true ~config db in
+      let compiled = Obs.Metrics.counter_value compilations in
+      Obs.reset ();
+      let walk, walk_entries =
+        Psa.set_enabled false;
+        Fun.protect ~finally:(fun () -> Psa.set_enabled true) (fun () ->
+            journaled_run ~config db)
+      in
+      let census (r : Cluseq.result) =
+        List.map (fun (st : Cluseq.iteration_stats) -> st.census) r.history
+      in
+      let check what ok = Alcotest.(check bool) (name ^ ": " ^ what) true ok in
+      check "assignments" (r.assignments = walk.assignments);
+      check "best" (r.best = walk.best);
+      check "final_t" (Float.equal r.final_t walk.final_t);
+      check "census" (census r = census walk);
+      (* The pure tree walk never compiles, so it journals no
+         cluster.froze; every other record must match, in order. *)
+      let decisions es =
+        List.filter_map
+          (fun (e : Obs.Journal.entry) ->
+            if is_froze e then None else Some (e.j_event, e.j_fields))
+          es
+      in
+      check "journal (minus cluster.froze and ts_ns)" (decisions entries = decisions walk_entries);
+      let dirty =
+        List.fold_left (fun acc (st : Cluseq.iteration_stats) -> acc + st.census.dirty_rescores) 0
+          r.history
+      in
+      check "dirty clusters were rescored" (dirty > 0);
+      let froze = List.length (List.filter is_froze entries) in
+      Alcotest.(check int) (name ^ ": cluster.froze count = eager policy's")
+        (eager_froze_count r entries) froze;
+      (* Under the eager policy every compile is journaled. More
+         compiles than cluster.froze events means automata were rebuilt
+         mid-pass and dropped by a later absorb in the same pass. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: mid-pass recompiles happen (%d compiles, %d froze)" name compiled
+           froze)
+        true (compiled > froze))
+    [ ("fixed", cfg); ("adjusting", adjusting) ]
+
+let test_absorbed_cluster_recompiles_when_it_pays () =
+  let pcfg = { (Pst.default_config ~alphabet_size:26) with significance = 2 } in
+  let s = enc "abcabcabcabcabcab" in
+  let lbg = Array.make 26 (-.log 26.0) in
+  let cl = Cluster.create ~id:0 ~capacity:4 pcfg s in
+  Obs.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () -> Obs.Metrics.disable (); Obs.reset ()) @@ fun () ->
+  Cluster.compile cl;
+  Alcotest.(check int) "compiled once" 1 (Obs.Metrics.counter_value compilations);
+  Cluster.absorb cl ~seq_id:1 s (Cluster.similarity cl ~log_background:lbg s);
+  let walk () = Similarity.score (Cluster.pst cl) ~log_background:lbg s in
+  let calls = ref 0 in
+  while Obs.Metrics.counter_value compilations = 1 && !calls < 1000 do
+    let r = Cluster.similarity cl ~log_background:lbg s in
+    Alcotest.(check bool) "bit-identical to the tree walk" true (r = walk ());
+    incr calls
+  done;
+  Alcotest.(check int) "recompiled once the walk paid for it" 2
+    (Obs.Metrics.counter_value compilations);
+  Alcotest.(check bool) "walked first" true (!calls > 1);
+  for _ = 1 to 20 do
+    Alcotest.(check bool) "bit-identical after recompiling" true
+      (Cluster.similarity cl ~log_background:lbg s = walk ())
+  done;
+  Cluster.compile cl;
+  Alcotest.(check int) "no further compile until the next absorb" 2
+    (Obs.Metrics.counter_value compilations)
+
+(* ------------------------------------------------------------------ *)
 (* Score-column cache lifecycle                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -136,6 +260,13 @@ let () =
         [
           Alcotest.test_case "cache = fresh replay" `Quick test_cache_matches_fresh_replay;
           Alcotest.test_case "domain determinism" `Quick test_deterministic_across_domains;
+        ] );
+      ( "lazy recompile",
+        [
+          Alcotest.test_case "results = pure tree walk" `Quick
+            test_lazy_recompile_matches_tree_walk;
+          Alcotest.test_case "absorbed cluster recompiles" `Quick
+            test_absorbed_cluster_recompiles_when_it_pays;
         ] );
       ( "cache",
         [ Alcotest.test_case "absorb invalidates" `Quick test_cache_dropped_on_absorb ] );
