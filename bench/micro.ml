@@ -71,6 +71,26 @@ let tests () =
       ~allocate:(fun () -> Pst.copy trained)
       ~free:ignore
       (Staged.stage (fun t -> Pst.prune_to t (Pst.n_nodes trained * 4 / 5)));
+    (* The drift telemetry's KL panel from cold: profile 8 trees (each
+       half of one planted cluster, trained like [trained]) and walk
+       all 28 pairs, with nothing cached between runs. *)
+    Test.make ~name:"kl-panel-8"
+      (let trees =
+         Array.init 8 (fun k ->
+             let t = Pst.create pst_cfg in
+             Array.iteri
+               (fun i s ->
+                 if w.labels.(i) = k mod 4 && i mod 2 = k / 4 then Pst.insert_sequence t s)
+               seqs;
+             t)
+       in
+       Staged.stage (fun () ->
+           let profiles = Array.map Divergence.profile trees in
+           for i = 0 to 7 do
+             for j = i + 1 to 7 do
+               ignore (Divergence.profile_kl_symmetric profiles.(i) profiles.(j))
+             done
+           done));
     Test.make ~name:"edit-distance-200x200"
       (Staged.stage (fun () -> ignore (Edit_distance.distance (next_seq ()) (next_seq ()))));
     Test.make ~name:"block-edit-200x200"

@@ -341,8 +341,10 @@ let cluster_cmd =
           | None -> ()
           | Some t ->
               Printf.printf
-                "           phases: gen %.3fs recluster %.3fs consolidate %.3fs threshold %.3fs converge %.3fs\n"
-                t.generation_s t.reclustering_s t.consolidation_s t.threshold_s t.convergence_s)
+                "           phases: gen %.3fs recluster %.3fs consolidate %.3fs threshold %.3fs \
+                 converge %.3fs observe %.3fs\n"
+                t.generation_s t.reclustering_s t.consolidation_s t.threshold_s t.convergence_s
+                t.observer_s)
         result.history;
     Array.iter
       (fun (id, members) -> Printf.printf "cluster %d: %d sequences\n" id (Array.length members))

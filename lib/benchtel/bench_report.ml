@@ -132,7 +132,8 @@ let collect_env ~label ~scale ~domains ~shards =
 (* ------------------------------------------------------------------ *)
 
 (* Must match Cluseq.phase_names (asserted by the telemetry tests). *)
-let phase_names = [ "generation"; "reclustering"; "consolidation"; "threshold"; "convergence" ]
+let phase_names =
+  [ "generation"; "reclustering"; "consolidation"; "threshold"; "convergence"; "observer" ]
 
 let capture ~id ~wall_s ~gc ~peak_heap_words ~quality =
   let counter name = Obs.Metrics.(counter_value (counter name)) in

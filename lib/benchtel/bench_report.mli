@@ -90,7 +90,9 @@ type experiment = {
   phases : (string * float) list;
       (** Per-phase seconds summed over all iterations of all runs, in
           the order of [Cluseq.phase_timings] (generation, reclustering,
-          consolidation, threshold, convergence). *)
+          consolidation, threshold, convergence, observer). Files
+          recorded before a phase existed simply lack it; comparisons
+          judge only the phases the base records. *)
   sequences : int;  (** Sequences clustered (summed over runs). *)
   symbols : int;  (** Symbols in those databases (summed over runs). *)
   gc : Obs.Resource.gc_delta;  (** GC work of the whole experiment. *)

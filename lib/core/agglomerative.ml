@@ -9,24 +9,29 @@ let cluster ?(linkage = Average) ?(measure = Variational) ?pst_config ~k db =
   if k <= 0 || k > n then invalid_arg "Agglomerative.cluster";
   let alphabet_size = Alphabet.size (Seq_database.alphabet db) in
   let cfg = Option.value ~default:(default_pst_config ~alphabet_size) pst_config in
-  let models =
+  (* One model per sequence, kept only as its divergence profile. *)
+  let profiles =
     Array.map
       (fun s ->
         let t = Pst.create cfg in
         Pst.insert_sequence t s;
-        t)
+        Divergence.profile t)
       (Seq_database.sequences db)
   in
-  let dist_fn = match measure with Variational -> Divergence.variational | Kl_symmetric -> Divergence.kl_symmetric in
+  let dist_fn =
+    match measure with
+    | Variational -> Divergence.profile_variational
+    | Kl_symmetric -> Divergence.profile_kl_symmetric
+  in
   (* O(N²) model-divergence matrix: rows fan out over the domain pool
      (each worker writes only its own row's upper triangle), the mirror
-     fill stays serial. Divergence evaluation is read-only on the
-     models, and each cell is computed exactly once, so the matrix is
-     identical for any domain count. *)
+     fill stays serial. Profiles are read-only, and each cell is
+     computed exactly once, so the matrix is identical for any domain
+     count. *)
   let dist = Array.make_matrix n n 0.0 in
   Par.parallel_for (Par.get_pool ()) ~lo:0 ~hi:n (fun i ->
       for j = i + 1 to n - 1 do
-        dist.(i).(j) <- dist_fn models.(i) models.(j)
+        dist.(i).(j) <- dist_fn profiles.(i) profiles.(j)
       done);
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do

@@ -41,8 +41,9 @@ let m_pairs_reused = Obs.Metrics.counter "cluseq.scan.pairs_reused"
    per cluster for ages, one per live pair for KL, one per joined pair
    for scores). Sum/count recover per-run means for the BENCH [drift]
    block; the same numbers feed the journal's [iteration.drift]
-   records. Computed only when metrics or the journal are on, and after
-   the phase timers, so [reclustering_s] never includes them. *)
+   records. Computed only when metrics or the journal are on, and
+   charged to the observer phase, so [reclustering_s] never includes
+   them. *)
 let h_churn_rate =
   Obs.Metrics.histogram
     ~buckets:[| 0.001; 0.005; 0.01; 0.05; 0.1; 0.25; 0.5; 1.0 |]
@@ -70,9 +71,11 @@ let h_member_score =
    state column cache-resident. *)
 let scan_block = 64
 
-(* The five phases of one iteration, in execution order; indexes into
-   [h_phase] and the per-iteration timing array in [run]. *)
-let phase_names = [| "generation"; "reclustering"; "consolidation"; "threshold"; "convergence" |]
+(* The five algorithm phases of one iteration, in execution order, then
+   the observer work (deferred journal writes and drift telemetry);
+   indexes into [h_phase] and the per-iteration timing array in [run]. *)
+let phase_names =
+  [| "generation"; "reclustering"; "consolidation"; "threshold"; "convergence"; "observer" |]
 
 let h_phase =
   Array.map (fun p -> Obs.Metrics.histogram ("cluseq.iter." ^ p ^ "_seconds")) phase_names
@@ -138,6 +141,7 @@ type phase_timings = {
   consolidation_s : float;
   threshold_s : float;
   convergence_s : float;
+  observer_s : float;
 }
 
 type scan_census = {
@@ -392,6 +396,68 @@ let hard_labels (r : result) ~n =
           | Some (c, _) when List.mem c joined -> c
           | _ -> List.hd joined))
 
+(* Write the reclustering scan's deferred events, in scan order. *)
+let journal_pending ~iter ~log_t events =
+  let num v = Bench_json.Num v in
+  let fi = float_of_int in
+  List.iter
+    (function
+      | Ev_joined (sid, cid, log_sim) ->
+          Obs.Journal.emit "seq.joined" (fun () ->
+              [
+                ("iter", num (fi iter)); ("seq", num (fi sid)); ("cluster", num (fi cid));
+                ("log_sim", num log_sim); ("log_t", num log_t);
+              ])
+      | Ev_left (sid, cid, log_sim) ->
+          Obs.Journal.emit "seq.left" (fun () ->
+              [
+                ("iter", num (fi iter)); ("seq", num (fi sid)); ("cluster", num (fi cid));
+                ("log_sim", num log_sim); ("log_t", num log_t);
+              ])
+      | Ev_grew (cid, fresh, size) ->
+          Obs.Journal.emit "cluster.grew" (fun () ->
+              [
+                ("iter", num (fi iter)); ("cluster", num (fi cid));
+                ("fresh", num (fi fresh)); ("size", num (fi size));
+              ]))
+    events
+
+module Kl_panel = struct
+  (* A value stays valid while both clusters still hold the profiles it
+     was computed from: [Cluster.profile] is rebuilt only after its tree
+     grew, so physical equality is the mutation test. *)
+  type entry = { pa : Divergence.profile; pb : Divergence.profile; kl : float }
+  type t = { mutable pairs : (int * int, entry) Hashtbl.t; mutable computed : int }
+
+  let create () = { pairs = Hashtbl.create 32; computed = 0 }
+  let computed t = t.computed
+
+  let values t panel =
+    let next = Hashtbl.create 32 in
+    let rec pairs = function
+      | [] -> []
+      | a :: rest ->
+          List.map
+            (fun b ->
+              let key = (Cluster.id a, Cluster.id b) in
+              let pa = Cluster.profile a and pb = Cluster.profile b in
+              let e =
+                match Hashtbl.find_opt t.pairs key with
+                | Some e when e.pa == pa && e.pb == pb -> e
+                | _ ->
+                    t.computed <- t.computed + 1;
+                    { pa; pb; kl = Divergence.profile_kl_symmetric pa pb }
+              in
+              Hashtbl.replace next key e;
+              e.kl)
+            rest
+          @ pairs rest
+    in
+    let kls = pairs panel in
+    t.pairs <- next;
+    kls
+end
+
 let run ?(config = default_config) db =
   let cfg = config in
   if cfg.k_init < 1 then invalid_arg "Cluseq.run: k_init must be >= 1";
@@ -401,21 +467,23 @@ let run ?(config = default_config) db =
   Obs.Metrics.incr m_runs;
   let run_t0 = if Obs.Metrics.is_enabled () then Timer.now_ns () else 0L in
   Obs.Trace.with_span "cluseq.run" @@ fun () ->
-  (* Per-iteration phase durations (seconds); only filled while metrics
-     are enabled so disabled runs skip the clock reads entirely. *)
+  (* Per-iteration phase durations (seconds), summed over the phase's
+     stretches of the iteration (the observer phase has two); only filled
+     while metrics are enabled so disabled runs skip the clock reads
+     entirely. *)
   let phase_s = Array.make (Array.length phase_names) 0.0 in
   let phase idx f =
     Obs.Trace.with_span phase_names.(idx) (fun () ->
         if Obs.Metrics.is_enabled () then begin
           let t0 = Timer.now_ns () in
           let r = f () in
-          let dt = Timer.span_s t0 (Timer.now_ns ()) in
-          phase_s.(idx) <- dt;
-          Obs.Metrics.observe h_phase.(idx) dt;
+          phase_s.(idx) <- phase_s.(idx) +. Timer.span_s t0 (Timer.now_ns ());
           r
         end
         else f ())
   in
+  let observer = Array.length phase_names - 1 in
+  let kl_panel = Kl_panel.create () in
   let n = Seq_database.n_sequences db in
   (* Built once per database (Seq_database caches it) and validated once
      per run — never recomputed or re-checked inside a scoring call. *)
@@ -447,6 +515,7 @@ let run ?(config = default_config) db =
     Obs.Metrics.incr m_iterations;
     Obs.Trace.with_span "iteration" @@ fun () ->
     let iter = !iterations in
+    Array.fill phase_s 0 (Array.length phase_s) 0.0;
     (* --- 1. new cluster generation --- *)
     let fresh =
       phase 0 @@ fun () ->
@@ -670,34 +739,12 @@ let run ?(config = default_config) db =
         List.rev !pending )
     in
     (* Write the scan's deferred journal events now that its timer has
-       stopped — still this domain, still scan order, so the journal is
-       unchanged except for timestamps. *)
-    if pending_journal <> [] then begin
-      let log_t = Threshold.log_t threshold in
-      let num v = Bench_json.Num v in
-      let fi = float_of_int in
-      List.iter
-        (function
-          | Ev_joined (sid, cid, log_sim) ->
-              Obs.Journal.emit "seq.joined" (fun () ->
-                  [
-                    ("iter", num (fi iter)); ("seq", num (fi sid)); ("cluster", num (fi cid));
-                    ("log_sim", num log_sim); ("log_t", num log_t);
-                  ])
-          | Ev_left (sid, cid, log_sim) ->
-              Obs.Journal.emit "seq.left" (fun () ->
-                  [
-                    ("iter", num (fi iter)); ("seq", num (fi sid)); ("cluster", num (fi cid));
-                    ("log_sim", num log_sim); ("log_t", num log_t);
-                  ])
-          | Ev_grew (cid, fresh, size) ->
-              Obs.Journal.emit "cluster.grew" (fun () ->
-                  [
-                    ("iter", num (fi iter)); ("cluster", num (fi cid));
-                    ("fresh", num (fi fresh)); ("size", num (fi size));
-                  ]))
-        pending_journal
-    end;
+       stopped (charged to the observer phase) — still this domain,
+       still scan order, so the journal is unchanged except for
+       timestamps. *)
+    if pending_journal <> [] then
+      phase observer (fun () ->
+          journal_pending ~iter ~log_t:(Threshold.log_t threshold) pending_journal);
     (* --- 3. consolidation --- *)
     let dropped =
       phase 2 @@ fun () ->
@@ -805,15 +852,16 @@ let run ?(config = default_config) db =
     Obs.Metrics.incr ~by:census.pairs_reused m_pairs_reused;
     Obs.Metrics.set g_wasted_ratio (wasted_pair_ratio census);
     (* --- drift telemetry --- *)
-    (* Quality gauges for this iteration, computed outside the phase
-       timers (so [reclustering_s] is never charged for them) and only
-       when someone is listening. Every input is a deterministic
-       function of the serial model state, so journaled drift records
-       are bit-identical at any domain count. *)
+    (* Quality gauges for this iteration, computed outside the algorithm
+       phases (charged to the observer phase) and only when someone is
+       listening. Every input is a deterministic function of the serial
+       model state, so journaled drift records are bit-identical at any
+       domain count. *)
     let drift =
       let jrn = Obs.Journal.is_enabled () in
       if not (jrn || Obs.Metrics.is_enabled ()) then None
-      else begin
+      else
+        phase observer @@ fun () ->
         let live = !clusters in
         let k_live = List.length live in
         let churn = if n = 0 then 0.0 else float_of_int changes /. float_of_int n in
@@ -824,19 +872,11 @@ let run ?(config = default_config) db =
         in
         (* Pairwise model divergence is quadratic in clusters, so cap
            the panel at the first 8 live clusters (id order — the
-           longest-lived, hence most informative, models). *)
+           longest-lived, hence most informative, models). Only pairs
+           with a side that grew since the last iteration are computed
+           afresh. *)
         let panel = List.filteri (fun i _ -> i < 8) live in
-        let kls =
-          let rec pairs = function
-            | [] -> []
-            | a :: rest ->
-                List.map
-                  (fun b -> Divergence.kl_symmetric (Cluster.pst a) (Cluster.pst b))
-                  rest
-                @ pairs rest
-          in
-          pairs panel
-        in
+        let kls = Kl_panel.values kl_panel panel in
         let mean_kl =
           match kls with
           | [] -> 0.0
@@ -898,8 +938,9 @@ let run ?(config = default_config) db =
             mean_member_score = mean_score;
             scored_members;
           }
-      end
     in
+    if Obs.Metrics.is_enabled () then
+      Array.iteri (fun i dt -> Obs.Metrics.observe h_phase.(i) dt) phase_s;
     Log.debug (fun m ->
         m
           "iter %d: new=%d consolidated=%d clusters=%d unclustered=%d t=%.4g changes=%d \
@@ -926,6 +967,7 @@ let run ?(config = default_config) db =
                  consolidation_s = phase_s.(2);
                  threshold_s = phase_s.(3);
                  convergence_s = phase_s.(4);
+                 observer_s = phase_s.(observer);
                }
            else None);
         drift;

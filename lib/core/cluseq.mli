@@ -101,10 +101,15 @@ type phase_timings = {
   consolidation_s : float;  (** Cluster consolidation (Sec. 4.5). *)
   threshold_s : float;  (** Threshold adjustment (Sec. 4.6). *)
   convergence_s : float;  (** Membership-diff convergence test. *)
+  observer_s : float;
+      (** Observer work: writing the reclustering scan's deferred
+          journal events and computing the drift telemetry (including
+          the inter-cluster KL panel). *)
 }
 (** Wall-clock seconds spent in each phase of one iteration, measured
     on the monotonic clock. The same durations feed the
-    [cluseq.iter.<phase>_seconds] histograms of {!Obs.Metrics}. *)
+    [cluseq.iter.<phase>_seconds] histograms of {!Obs.Metrics}
+    ([cluseq.iter.observer_seconds] for [observer_s]). *)
 
 type scan_census = {
   pairs_scored : int;
@@ -184,8 +189,8 @@ type iteration_stats = {
           across identically-seeded runs. *)
   drift : drift option;
       (** Quality gauges; [Some] when [Obs.Metrics] or {!Obs.Journal}
-          was enabled — computed outside the phase timers, so
-          [timings] never charges for them. *)
+          was enabled — computed outside the algorithm phases, so
+          [timings] charges them to [observer_s] only. *)
 }
 
 type result = {
@@ -221,6 +226,27 @@ val scaled_config : ?base:config -> expected_cluster_size:int -> unit -> config
     every context insignificant and every new cluster die in
     consolidation. [expected_cluster_size] is a rough guess of N/k; it
     only needs to be the right order of magnitude. *)
+
+(** The drift telemetry's inter-cluster KL panel, with its values kept
+    across iterations. *)
+module Kl_panel : sig
+  type t
+
+  val create : unit -> t
+  (** An empty panel cache. {!run} keeps one per run. *)
+
+  val values : t -> Cluster.t list -> float list
+  (** [values t panel] is {!Divergence.profile_kl_symmetric} of every
+      pair [(a, b)] of [panel] with [a] before [b], in that order,
+      over each cluster's {!Cluster.profile}. A pair whose two
+      clusters still hold the profiles its cached value was computed
+      from — neither tree grew since — reuses that value, which is
+      bit-identical to a fresh computation; every other pair is
+      computed afresh. Entries of pairs not in [panel] are dropped. *)
+
+  val computed : t -> int
+  (** Pairs computed (not reused) by {!values} so far. *)
+end
 
 val run : ?config:config -> Seq_database.t -> result
 (** [run ?config db] executes CLUSEQ on [db]. Deterministic for a fixed

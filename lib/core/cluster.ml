@@ -12,6 +12,9 @@ type t = {
      automaton), in which case a fresh evaluation would be
      bit-identical. *)
   mutable scores : Similarity.result array option;
+  (* The tree's divergence profile, built on first use by the drift
+     panel; same lifecycle as the score column. *)
+  mutable profile : Divergence.profile option;
 }
 
 let m_absorbs = Obs.Metrics.counter "cluster.absorbs"
@@ -25,6 +28,7 @@ let create ~id ?(born = 0) ~capacity cfg seed =
     members = Bitset.create capacity;
     scorer = Scorer.create pst;
     scores = None;
+    profile = None;
   }
 
 let id t = t.id
@@ -56,6 +60,14 @@ let compile t =
 let score_cache t = t.scores
 let set_score_cache t col = t.scores <- Some col
 
+let profile t =
+  match t.profile with
+  | Some pr -> pr
+  | None ->
+      let pr = Divergence.profile (Scorer.pst t.scorer) in
+      t.profile <- Some pr;
+      pr
+
 let similarity t ~log_background s = Scorer.score t.scorer ~log_background s
 
 let similarity_batch t ~log_background ~batch seqs =
@@ -68,7 +80,9 @@ let absorb t ~seq_id s (r : Similarity.result) =
     (* The tree changes (insertion, possibly pruning): the automaton is
        dropped, and scores go back to the tree walk until they pay for
        a recompile — bit-identical either way, so callers cannot tell
-       which path ran. The score column goes stale with it. *)
+       which path ran. The score column and the divergence profile go
+       stale with it. *)
     Scorer.insert_segment t.scorer s ~lo:r.seg_lo ~hi:r.seg_hi;
-    t.scores <- None
+    t.scores <- None;
+    t.profile <- None
   end

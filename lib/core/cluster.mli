@@ -60,6 +60,13 @@ val set_score_cache : t -> Similarity.result array -> unit
 (** Install the score column computed by a just-finished pass. Callers
     must only do this when the PST was not mutated during the pass. *)
 
+val profile : t -> Divergence.profile
+(** The {!Divergence.profile} of the cluster's current PST, built on the
+    first call after a mutation and cached until the next {!absorb}
+    grows the tree — so while the tree is unchanged every call returns
+    the physically same profile, and a caller may key derived values on
+    it. *)
+
 val similarity : t -> log_background:float array -> Sequence.t -> Similarity.result
 (** {!Similarity.score} against this cluster's PST — the one place that
     picks the engine ({!Scorer.score}): the cached automaton when there
@@ -85,4 +92,5 @@ val absorb : t -> seq_id:int -> Sequence.t -> Similarity.result -> unit
 (** [absorb t ~seq_id s r] adds [seq_id] as a member and inserts the
     maximizing segment [r.seg_lo .. r.seg_hi] of [s] into the PST
     (paper Sec. 4.2/4.4: only the best segment updates the tree). A
-    tree that grew drops its automaton and score column. *)
+    tree that grew drops its automaton, score column and divergence
+    profile. *)

@@ -211,11 +211,16 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
           retention threshold under the *other* side's model. This is
           the algorithm's own membership criterion, so it needs no
           workload-dependent constant. --- *)
+    (* One divergence profile per model, built on first use. *)
+    let profiles = Array.map (fun g -> lazy (Divergence.profile g.g_pst)) gs in
+    let kl i j =
+      Divergence.profile_kl_symmetric (Lazy.force profiles.(i)) (Lazy.force profiles.(j))
+    in
     let d = Array.make_matrix m m infinity in
     for i = 0 to m - 1 do
       for j = i + 1 to m - 1 do
         if gs.(i).g_shard <> gs.(j).g_shard then begin
-          let v = Divergence.kl_symmetric gs.(i).g_pst gs.(j).g_pst in
+          let v = kl i j in
           d.(i).(j) <- v;
           d.(j).(i) <- v
         end
@@ -278,7 +283,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
                 ("into", Bench_json.Num (float_of_int s));
                 ("shard", Bench_json.Num (float_of_int gs.(i).g_shard));
                 ( "divergence",
-                  Bench_json.Num (Divergence.kl_symmetric gs.(s).g_pst gs.(i).g_pst) );
+                  Bench_json.Num (kl s i) );
               ])
       end
     done;

@@ -218,9 +218,13 @@ let test_capture_from_run () =
   Alcotest.(check int) "sequences captured" 60 e.sequences;
   Alcotest.(check bool) "symbols captured" true (e.symbols > 0);
   Alcotest.(check bool) "run seconds captured" true (e.cluseq_seconds > 0.0);
-  Alcotest.(check int) "five phases" 5 (List.length e.phases);
+  Alcotest.(check (list string)) "phases, observer last"
+    [ "generation"; "reclustering"; "consolidation"; "threshold"; "convergence"; "observer" ]
+    (List.map fst e.phases);
   Alcotest.(check bool) "phase time recorded" true
     (List.fold_left (fun acc (_, s) -> acc +. s) 0.0 e.phases > 0.0);
+  (* Metrics are on, so the drift telemetry ran and was charged. *)
+  Alcotest.(check bool) "observer time recorded" true (List.assoc "observer" e.phases > 0.0);
   Alcotest.(check bool) "pst nodes accounted" true (e.pst_nodes_built > 0);
   Alcotest.(check bool) "pst words accounted" true (e.pst_est_words_built > 0);
   (* The per-phase sum can't exceed the whole run's wall time. *)
@@ -543,11 +547,31 @@ let test_report_reads_legacy_index_fields () =
         | Ok r -> r
         | Error msg -> Alcotest.failf "legacy record rejected: %s" msg)
   in
-  (match r.experiments with
-  | [ e ] ->
-      Alcotest.(check int) "pairs_scored read" 16_426 e.census.pairs_scored;
-      Alcotest.(check int) "pairs_reused read" 16_350 e.census.pairs_reused
-  | es -> Alcotest.failf "expected one experiment, got %d" (List.length es));
+  let legacy =
+    match r.experiments with
+    | [ e ] ->
+        Alcotest.(check int) "pairs_scored read" 16_426 e.census.pairs_scored;
+        Alcotest.(check int) "pairs_reused read" 16_350 e.census.pairs_reused;
+        e
+    | es -> Alcotest.failf "expected one experiment, got %d" (List.length es)
+  in
+  (* Written before the observer phase existed: five phases, and a
+     current record that adds [observer_s] still compares against it. *)
+  Alcotest.(check int) "five legacy phases" 5 (List.length legacy.phases);
+  Alcotest.(check bool) "no observer phase" false (List.mem_assoc "observer" legacy.phases);
+  let with_observer = { legacy with phases = legacy.phases @ [ ("observer", 0.2) ] } in
+  let added = compare_ok r { r with experiments = [ with_observer ] } in
+  Alcotest.(check bool) "added observer phase does not regress" false
+    (Bench_compare.has_regression added);
+  Alcotest.(check bool) "observer not judged without a base" false
+    (List.exists (fun v -> v.Bench_compare.metric = "phase.observer") added);
+  let dropped = { with_observer with phases = legacy.phases @ [ ("observer", 0.05) ] } in
+  Alcotest.(check bool) "observer drop shown once both record it" true
+    (List.exists
+       (fun v -> v.Bench_compare.metric = "phase.observer" && v.status = `Improvement)
+       (compare_ok
+          { r with experiments = [ with_observer ] }
+          { r with experiments = [ dropped ] }));
   Alcotest.(check bool) "legacy record compares clean against itself" false
     (Bench_compare.has_regression (compare_ok r r));
   (* Against a current run without the gate's micro rows: noted, not

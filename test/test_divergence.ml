@@ -70,6 +70,56 @@ let qcheck_tests =
            self >= 0.0 && self < 1e-9));
   ]
 
+(* The ordered co-walk against the label-by-label reference: random
+   trees over alphabets of 2–5 symbols, each side with its own
+   significance, depth and pruning (tiny node budgets included), empty
+   trees, and self-pairs. *)
+let random_tree_gen ~alphabet_size =
+  let open QCheck.Gen in
+  let* significance = int_range 1 6 and* max_depth = int_range 1 5 in
+  let* max_nodes = oneof [ int_range 1 12; int_range 13 80; return 20_000 ] in
+  let* p_min = oneofl [ 0.0; 1e-3; 0.01 ] in
+  let* pruning = oneofl Pruning.all in
+  let* seqs =
+    list_size (int_range 0 6) (array_size (int_range 1 30) (int_bound (alphabet_size - 1)))
+  in
+  let cfg = { Pst.alphabet_size; max_depth; significance; max_nodes; p_min; pruning } in
+  return (cfg, seqs)
+
+let tree_pair_gen =
+  let open QCheck.Gen in
+  let* alphabet_size = int_range 2 5 in
+  pair (random_tree_gen ~alphabet_size) (random_tree_gen ~alphabet_size)
+
+let print_tree (cfg, seqs) =
+  Printf.sprintf "{sig=%d depth=%d nodes=%d p_min=%g %s} [%s]" cfg.Pst.significance
+    cfg.max_depth cfg.max_nodes cfg.p_min (Pruning.to_string cfg.pruning)
+    (String.concat "; "
+       (List.map (fun s -> String.concat "" (List.map string_of_int (Array.to_list s))) seqs))
+
+let grow (cfg, seqs) =
+  let t = Pst.create cfg in
+  List.iter (Pst.insert_sequence t) seqs;
+  t
+
+let close_to_ref ~ref_ v = Float.abs (v -. ref_) <= 1e-9 *. Float.max 1.0 (Float.abs ref_)
+
+let oracle_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"co-walk = reference" ~count:500
+         (QCheck.make ~print:(QCheck.Print.pair print_tree print_tree) tree_pair_gen)
+         (fun (x, y) ->
+           let a = grow x and b = grow y in
+           List.for_all
+             (fun (a, b) ->
+               close_to_ref ~ref_:(Ref_divergence.kl_symmetric a b)
+                 (Divergence.kl_symmetric a b)
+               && close_to_ref ~ref_:(Ref_divergence.variational a b)
+                    (Divergence.variational a b))
+             [ (a, b); (b, a); (a, a); (b, b) ]));
+  ]
+
 let () =
   Alcotest.run "divergence"
     [
@@ -83,4 +133,5 @@ let () =
           Alcotest.test_case "empty trees" `Quick test_empty_trees;
         ] );
       ("property", qcheck_tests);
+      ("oracle", oracle_tests);
     ]

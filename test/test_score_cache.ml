@@ -248,6 +248,73 @@ let test_cache_dropped_on_absorb () =
   Cluster.absorb cl ~seq_id:1 s r;
   Alcotest.(check bool) "absorb drops the cache" true (Cluster.score_cache cl = None)
 
+(* ------------------------------------------------------------------ *)
+(* Drift KL panel cache                                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_kl_panel_reuse () =
+  let pcfg = { (Pst.default_config ~alphabet_size:26) with significance = 2 } in
+  let lbg = Array.make 26 (-.log 26.0) in
+  let seeds = [ "abcabcabcabcab"; "abdabdabdabdab"; "xyzxyzxyzxyzxy" ] in
+  let clusters = List.mapi (fun id s -> Cluster.create ~id ~capacity:8 pcfg (enc s)) seeds in
+  let panel = Cluseq.Kl_panel.create () in
+  let check_fresh label kls =
+    let rec pairs = function
+      | [] -> []
+      | a :: rest -> List.map (fun b -> (a, b)) rest @ pairs rest
+    in
+    List.iter2
+      (fun (a, b) kl ->
+        let ref_ = Ref_divergence.kl_symmetric (Cluster.pst a) (Cluster.pst b) in
+        if Float.abs (kl -. ref_) > 1e-9 *. Float.max 1.0 (Float.abs ref_) then
+          Alcotest.failf "%s: pair (%d,%d) %.17g, reference %.17g" label (Cluster.id a)
+            (Cluster.id b) kl ref_)
+      (pairs clusters) kls
+  in
+  let first = Cluseq.Kl_panel.values panel clusters in
+  Alcotest.(check int) "three pairs computed" 3 (Cluseq.Kl_panel.computed panel);
+  check_fresh "cold" first;
+  let again = Cluseq.Kl_panel.values panel clusters in
+  Alcotest.(check int) "clean pairs reused" 3 (Cluseq.Kl_panel.computed panel);
+  Alcotest.(check bool) "reused values bit-identical" true (List.equal Float.equal first again);
+  check_fresh "reused" again;
+  let grow cl s =
+    let s = enc s in
+    Cluster.absorb cl ~seq_id:7 s (Cluster.similarity cl ~log_background:lbg s)
+  in
+  let c0, c2 = (List.nth clusters 0, List.nth clusters 2) in
+  grow c2 "xyzxyzxyzabc";
+  let after_c2 = Cluseq.Kl_panel.values panel clusters in
+  Alcotest.(check int) "both pairs of the grown tree recomputed" 5
+    (Cluseq.Kl_panel.computed panel);
+  check_fresh "after growing the last cluster" after_c2;
+  grow c0 "abcabcxyzxyz";
+  let after_c0 = Cluseq.Kl_panel.values panel clusters in
+  Alcotest.(check int) "either side's growth invalidates" 7 (Cluseq.Kl_panel.computed panel);
+  check_fresh "after growing the first cluster" after_c0;
+  Alcotest.(check bool) "values moved with the trees" false
+    (List.equal Float.equal first after_c0);
+  ignore (Cluseq.Kl_panel.values panel clusters);
+  Alcotest.(check int) "clean again: nothing recomputed" 7 (Cluseq.Kl_panel.computed panel)
+
+let test_drift_records_across_domains () =
+  let db = (workload ()).Workload.db in
+  let saved = Par.default_domains () in
+  Fun.protect ~finally:(fun () -> Par.set_default_domains saved) @@ fun () ->
+  let drift d =
+    Par.set_default_domains d;
+    let _, entries = journaled_run ~metrics:true ~config:cfg db in
+    List.filter_map
+      (fun (e : Obs.Journal.entry) ->
+        if e.j_event = "iteration.drift" then
+          Some (Bench_json.to_string (Bench_json.Obj e.j_fields))
+        else None)
+      entries
+  in
+  let d1 = drift 1 and d4 = drift 4 in
+  Alcotest.(check bool) "drift records journaled" true (d1 <> []);
+  Alcotest.(check (list string)) "iteration.drift identical at 1 and 4 domains" d1 d4
+
 let () =
   Alcotest.run "score_cache"
     [
@@ -270,4 +337,10 @@ let () =
         ] );
       ( "cache",
         [ Alcotest.test_case "absorb invalidates" `Quick test_cache_dropped_on_absorb ] );
+      ( "kl panel",
+        [
+          Alcotest.test_case "pairs reused until a tree grows" `Quick test_kl_panel_reuse;
+          Alcotest.test_case "drift records domain-independent" `Quick
+            test_drift_records_across_domains;
+        ] );
     ]
