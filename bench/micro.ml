@@ -26,6 +26,17 @@ let tests () =
   (* A trained cluster PST for the query-side benches. *)
   let trained = Pst.create pst_cfg in
   Array.iteri (fun i s -> if w.labels.(i) = 0 then Pst.insert_sequence trained s) seqs;
+  (* The same cluster's tree with the budget set to its own size: the
+     insertion order never exceeds the final count, so nothing prunes. *)
+  let at_budget =
+    let grow max_nodes =
+      let t = Pst.create { pst_cfg with max_nodes } in
+      Array.iteri (fun i s -> if w.labels.(i) = 0 then Pst.insert_sequence t s) seqs;
+      t
+    in
+    grow (Pst.n_nodes (grow max_int))
+  in
+  let foreign = seqs.(Option.get (Array.find_index (fun l -> l = 1) w.labels)) in
   let probe = seqs.(0) in
   let mid = (Array.length probe - 1) / 2 in
   let counter = ref 0 in
@@ -71,6 +82,14 @@ let tests () =
       ~allocate:(fun () -> Pst.copy trained)
       ~free:ignore
       (Staged.stage (fun t -> Pst.prune_to t (Pst.n_nodes trained * 4 / 5)));
+    (* One insertion that trips the node budget: a 200-symbol sequence
+       from another cluster into a copy of a tree holding exactly
+       [max_nodes] nodes, so every run grows it past the budget and
+       prunes it back to 80%. *)
+    Test.make_with_resource ~name:"pst-insert-at-budget" Test.multiple
+      ~allocate:(fun () -> Pst.copy at_budget)
+      ~free:ignore
+      (Staged.stage (fun t -> Pst.insert_sequence t foreign));
     (* The drift telemetry's KL panel from cold: profile 8 trees (each
        half of one planted cluster, trained like [trained]) and walk
        all 28 pairs, with nothing cached between runs. *)

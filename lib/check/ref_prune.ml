@@ -17,11 +17,11 @@ let prune_ordered t target order_key =
 
 let prune_expected_vector t target =
   let sig_ = (Pst.config t).Pst.significance in
-  let count = Pst.node_count and depth = Pst.node_depth in
+  let count = Pst.node_count t and depth = Pst.node_depth t in
   prune_ordered t target (fun n ->
       if count n < sig_ then (0, count n, -depth n) else (1, max_int, 0));
   while Pst.n_nodes t > target do
-    let leaves = List.filter (fun n -> Pst.node_children n = []) (all_nodes_below t) in
+    let leaves = List.filter (fun n -> Pst.node_children t n = []) (all_nodes_below t) in
     match leaves with
     | [] -> raise Exit
     | _ ->
@@ -36,7 +36,7 @@ let prune_expected_vector t target =
 let prune_to t target =
   let target = max 1 target in
   if Pst.n_nodes t > target then
-    let count = Pst.node_count and depth = Pst.node_depth in
+    let count = Pst.node_count t and depth = Pst.node_depth t in
     match (Pst.config t).Pst.pruning with
     | Pruning.Smallest_count_first -> prune_ordered t target (fun n -> (count n, -depth n))
     | Pruning.Longest_label_first -> prune_ordered t target (fun n -> (-depth n, count n))

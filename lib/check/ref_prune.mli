@@ -3,8 +3,9 @@
     The straightforward form of {!Pst.prune_to}: list every node below
     the root, pair each with a tuple key, sort the pairs with polymorphic
     [compare], and detach subtrees in that order until the tree is under
-    budget. {!Pst} ranks the same nodes through flat int key arrays;
-    both feed [Array.sort] comparisons of the same sign, so on any tree
+    budget. {!Pst} packs the same keys and positions into ints and
+    sorts them with [Key_sort], the stdlib heapsort comparing key bits
+    only; both sorts see comparisons of the same sign, so on any tree
     the two must detach the same subtrees — the property tests compare
     the pruned trees with {!Pst.equal_structure}. *)
 

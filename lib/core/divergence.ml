@@ -23,7 +23,7 @@ let profile t =
      every significant node. *)
   let rec size node =
     let acc = ref 1 in
-    Pst.iter_children node (fun _ c -> if Pst.is_significant t c then acc := !acc + size c);
+    Pst.iter_children t node (fun _ c -> if Pst.is_significant t c then acc := !acc + size c);
     !acc
   in
   let m = size root in
@@ -33,16 +33,16 @@ let profile t =
   let p = floats (m * n) and log_p = floats (m * n) in
   let nodes = Array.make m root in
   sym.{0} <- -1;
-  count.{0} <- Pst.node_count root;
+  count.{0} <- Pst.node_count t root;
   let tail = ref 1 in
   for i = 0 to m - 1 do
     let node = nodes.(i) in
     first.{i} <- !tail;
-    Pst.iter_children node (fun s c ->
+    Pst.iter_children t node (fun s c ->
         if Pst.is_significant t c then begin
           nodes.(!tail) <- c;
           sym.{!tail} <- s;
-          count.{!tail} <- Pst.node_count c;
+          count.{!tail} <- Pst.node_count t c;
           incr tail
         end);
     Pst.write_next_log_probs t node log_p ~pos:(i * n);

@@ -90,9 +90,9 @@ let compile pst =
   let n_active = ref 0 and max_active_depth = ref 0 in
   let rec count_active node =
     incr n_active;
-    max_active_depth := max !max_active_depth (Pst.node_depth node);
-    Pst.iter_children node (fun _ child ->
-        if Pst.node_count child >= sigma then count_active child)
+    max_active_depth := max !max_active_depth (Pst.node_depth pst node);
+    Pst.iter_children pst node (fun _ child ->
+        if Pst.node_count pst child >= sigma then count_active child)
   in
   count_active root;
   let new_table cells =
@@ -135,8 +135,8 @@ let compile pst =
       u := add_child !u path.(k)
     done;
     !anode.(!u) <- node;
-    Pst.iter_children node (fun s child ->
-        if Pst.node_count child >= sigma then begin
+    Pst.iter_children pst node (fun s child ->
+        if Pst.node_count pst child >= sigma then begin
           path.(d) <- s;
           dfs child (d + 1)
         end)
@@ -183,7 +183,7 @@ let compile pst =
   let pred_depth = Array.make n_states 0 in
   for u = 0 to n_states - 1 do
     let nd = pred.(u) in
-    pred_depth.(u) <- Pst.node_depth nd;
+    pred_depth.(u) <- Pst.node_depth pst nd;
     Pst.write_next_log_probs pst nd emit ~pos:(u * n)
   done;
   Obs.Metrics.incr m_compilations;

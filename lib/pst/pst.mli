@@ -37,8 +37,12 @@ val default_config : alphabet_size:int -> config
 type t
 (** A mutable probabilistic suffix tree. *)
 
-type node
-(** A node of the tree (opaque; obtained from walks or lookups). *)
+type node [@@immediate]
+(** A node of the tree: an int handle into the tree's flat node store,
+    obtained from walks or lookups. A handle is valid until the next
+    mutation of its tree — pruning frees slots and insertion reuses
+    them — and is meaningful only together with the tree it came
+    from. *)
 
 val create : config -> t
 (** An empty tree (root only, count 0). Raises [Invalid_argument] on
@@ -69,11 +73,12 @@ val insert_segment : t -> Sequence.t -> lo:int -> hi:int -> unit
 val root : t -> node
 (** The root node (empty label). *)
 
-val node_count : node -> int
-(** Occurrence count {m C} of the node's label. *)
+val node_count : t -> node -> int
+(** Occurrence count {m C} of the node's label. Raises
+    [Invalid_argument] on a handle whose slot has been freed. *)
 
-val node_depth : node -> int
-(** Label length. *)
+val node_depth : t -> node -> int
+(** Label length. Raises [Invalid_argument] like {!node_count}. *)
 
 val is_significant : t -> node -> bool
 (** [count >= significance]; the root is always significant. *)
@@ -108,36 +113,40 @@ val find_node : t -> Sequence.t -> node option
     without the significance restriction); intended for tests and
     inspection. *)
 
-val next_count : node -> int -> int
-(** [next_count node sym] is the raw count {m C(label\,sym)}. *)
+val next_count : t -> node -> int -> int
+(** [next_count t node sym] is the raw count {m C(label\,sym)}. *)
 
-val next_total : node -> int
+val next_total : t -> node -> int
 (** Sum of next-symbol counts at the node. *)
 
-val node_children : node -> (int * node) list
+val node_children : t -> node -> (int * node) list
 (** [(edge symbol, child)] pairs in increasing symbol order — the walk
     primitive of the {!module:Check}-style invariant checkers (a child's
     label is [symbol · label(parent)]). *)
 
 val copy : t -> t
 (** [copy t] is a deep, independent copy with identical structure,
-    counts, and internal storage order: every subsequent operation
-    (scoring, pruning) behaves bit-identically on the copy. Used by the
-    correctness oracles to snapshot a model before replaying mutations. *)
+    counts, and internal storage (node slots and free lists included):
+    every subsequent operation (scoring, pruning) behaves
+    bit-identically on the copy, and [t]'s node handles name the same
+    nodes in it. Used by the correctness oracles to snapshot a model
+    before replaying mutations. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a new tree (inputs untouched) whose counts are the
     node-by-node sum of [a] and [b] over the union of their node sets —
     the counts a single tree would have accumulated had it seen both
-    databases, up to pruning. Because node storage is key-sorted, the
-    result is independent of argument order: merge is commutative and
-    associative under {!equal_structure} when no pruning fires. The
+    databases, up to pruning. Because children and counters are kept
+    in symbol order, the result is independent of argument order: merge
+    is commutative and associative under {!equal_structure} when no
+    pruning fires. The
     merged tree re-prunes itself if the union exceeds [max_nodes].
     Raises [Invalid_argument] when the configs differ. *)
 
-val iter_children : node -> (int -> node -> unit) -> unit
-(** [iter_children node f] calls [f sym child] for every child, in the
-    order of {!node_children}, without building the list. *)
+val iter_children : t -> node -> (int -> node -> unit) -> unit
+(** [iter_children t node f] calls [f sym child] for every child, in the
+    order of {!node_children}, without building the list. [f] must not
+    mutate [t]. *)
 
 val next_distribution : t -> node -> float array
 (** The full smoothed probability vector at a node (length |Σ|). *)
@@ -147,10 +156,12 @@ val prune_to : t -> int -> unit
     [n_nodes t <= target], using the configured strategy. *)
 
 val detach : t -> node -> unit
-(** [detach t node] removes [node]'s whole subtree from the tree and
-    subtracts its size from {!n_nodes}; a no-op for the root or a node
-    no longer attached. The primitive every pruning strategy is built
-    from — exposed for the pruning oracle in [lib/check]. *)
+(** [detach t node] removes [node]'s whole subtree from the tree,
+    subtracts its size from {!n_nodes} and frees its slots for reuse; a
+    no-op for the root or a node already detached (freed slots are only
+    refilled by a later insertion or merge). The primitive every pruning
+    strategy is built from — exposed for the pruning oracle in
+    [lib/check]. *)
 
 val divergence_from_parent : t -> node -> float
 (** L1 distance between a node's raw next-symbol distribution and its
@@ -161,7 +172,10 @@ type stats = {
   nodes : int;
   significant_nodes : int;
   max_depth_used : int;
-  approx_bytes : int;  (** Rough in-memory footprint estimate. *)
+  approx_bytes : int;
+      (** Memory footprint of the tree in bytes: the allocated length of
+          its node array and count arena (off-heap, spare capacity
+          included), the free-list heads and the tree record. *)
 }
 
 val stats : t -> stats

@@ -30,7 +30,7 @@ let test_node_counts_match_occurrences () =
         0 texts
     in
     match Pst.find_node t pattern with
-    | Some node -> Alcotest.(check int) (Printf.sprintf "count of %S" label) expected (Pst.node_count node)
+    | Some node -> Alcotest.(check int) (Printf.sprintf "count of %S" label) expected (Pst.node_count t node)
     | None -> Alcotest.(check int) (Printf.sprintf "%S absent means zero" label) expected 0
   in
   List.iter check_label [ "a"; "b"; "ab"; "ba"; "bb"; "aba"; "abab"; "z"; "aa" ]
@@ -49,13 +49,13 @@ let test_next_counts_are_extension_counts () =
   match Pst.find_node t (Sequence.of_string alpha "ab") with
   | None -> Alcotest.fail "node ab must exist"
   | Some node ->
-      Alcotest.(check int) "C(abc)" (count "abc") (Pst.next_count node (Alphabet.code_exn alpha "c"));
-      Alcotest.(check int) "C(aba)" (count "aba") (Pst.next_count node (Alphabet.code_exn alpha "a"))
+      Alcotest.(check int) "C(abc)" (count "abc") (Pst.next_count t node (Alphabet.code_exn alpha "c"));
+      Alcotest.(check int) "C(aba)" (count "aba") (Pst.next_count t node (Alphabet.code_exn alpha "a"))
 
 let test_probability_vector_sums_to_one () =
   let t = build ~p_min:0.001 [ "abcabcbca"; "cabcab" ] in
   Pst.iter_nodes t (fun node ->
-      if Pst.next_total node > 0 then begin
+      if Pst.next_total t node > 0 then begin
         let dist = Pst.next_distribution t node in
         let s = Array.fold_left ( +. ) 0.0 dist in
         Alcotest.(check (float 1e-6)) "distribution sums to 1" 1.0 s
@@ -99,7 +99,7 @@ let test_prediction_node_is_longest_significant_suffix () =
   (* Context = "abab" (positions 0..3), predict position 4. The walk
      descends while counts >= 4: "b" (4), "ab" (4), "bab" (3 <- stop). *)
   let node = Pst.prediction_node t s ~lo:0 ~pos:4 in
-  Alcotest.(check int) "depth stops at ab" 2 (Pst.node_depth node);
+  Alcotest.(check int) "depth stops at ab" 2 (Pst.node_depth t node);
   Alcotest.(check (list int)) "label is ab"
     [ Alphabet.code_exn alpha "a"; Alphabet.code_exn alpha "b" ]
     (Pst.node_label t node)
@@ -108,13 +108,13 @@ let test_prediction_node_empty_context () =
   let t = build [ "abc" ] in
   let s = Sequence.of_string alpha "abc" in
   let node = Pst.prediction_node t s ~lo:0 ~pos:0 in
-  Alcotest.(check int) "root for empty context" 0 (Pst.node_depth node)
+  Alcotest.(check int) "root for empty context" 0 (Pst.node_depth t node)
 
 let test_prediction_respects_max_depth () =
   let t = build ~max_depth:3 ~significance:1 [ "aaaaaaaaaa" ] in
   let s = Sequence.of_string alpha "aaaaaaa" in
   let node = Pst.prediction_node t s ~lo:0 ~pos:6 in
-  Alcotest.(check bool) "depth capped" true (Pst.node_depth node <= 3)
+  Alcotest.(check bool) "depth capped" true (Pst.node_depth t node <= 3)
 
 let test_log_prob_uniform_on_empty () =
   let t = Pst.create (cfg ~alphabet_size:4 ()) in
@@ -136,12 +136,12 @@ let test_insert_segment_matches_sub_sequence_insert () =
       match Pst.find_node t2 label with
       | None -> Alcotest.fail "node missing in reference tree"
       | Some node2 ->
-          Alcotest.(check int) "same count" (Pst.node_count node2) (Pst.node_count node))
+          Alcotest.(check int) "same count" (Pst.node_count t2 node2) (Pst.node_count t1 node))
 
 let test_max_depth_limits_nodes () =
   let t = build ~max_depth:2 [ "abcdefgh" ] in
   Pst.iter_nodes t (fun node ->
-      Alcotest.(check bool) "no node deeper than 2" true (Pst.node_depth node <= 2))
+      Alcotest.(check bool) "no node deeper than 2" true (Pst.node_depth t node <= 2))
 
 let test_pruning_budget_respected () =
   let t = build ~max_nodes:50 [ String.concat "" (List.init 40 (fun i -> Printf.sprintf "%c%c" (Char.chr (97 + (i mod 26))) (Char.chr (97 + ((i * 7) mod 26))))) ] in
@@ -180,13 +180,13 @@ let test_longest_label_pruning_removes_deep_first () =
   let t = build ~pruning:Pruning.Longest_label_first ~significance:2 [ "abcdefabcdef" ] in
   let max_depth_before =
     let d = ref 0 in
-    Pst.iter_nodes t (fun n -> if Pst.node_depth n > !d then d := Pst.node_depth n);
+    Pst.iter_nodes t (fun n -> if Pst.node_depth t n > !d then d := Pst.node_depth t n);
     !d
   in
   Pst.prune_to t (Pst.n_nodes t / 2);
   let max_depth_after =
     let d = ref 0 in
-    Pst.iter_nodes t (fun n -> if Pst.node_depth n > !d then d := Pst.node_depth n);
+    Pst.iter_nodes t (fun n -> if Pst.node_depth t n > !d then d := Pst.node_depth t n);
     !d
   in
   Alcotest.(check bool) "max depth reduced" true (max_depth_after < max_depth_before)
@@ -241,9 +241,9 @@ let qcheck_tests =
            let s = Sequence.of_string alpha text in
            let ok = ref true in
            Pst.iter_nodes t (fun node ->
-               if Pst.node_depth node > 0 then begin
+               if Pst.node_depth t node > 0 then begin
                  let label = Array.of_list (Pst.node_label t node) in
-                 if Pst.node_count node <> Sequence.count_occurrences s ~pattern:label then
+                 if Pst.node_count t node <> Sequence.count_occurrences s ~pattern:label then
                    ok := false
                end);
            !ok));
@@ -259,7 +259,7 @@ let qcheck_tests =
              let label = Array.of_list (Pst.node_label t node) in
              let context = Array.sub s 0 pos in
              if not (Sequence.is_suffix_of label context) then ok := false;
-             if Pst.node_depth node > 0 && Pst.node_count node < c then ok := false
+             if Pst.node_depth t node > 0 && Pst.node_count t node < c then ok := false
            done;
            !ok));
     QCheck_alcotest.to_alcotest
@@ -282,13 +282,13 @@ let qcheck_tests =
            let t = build texts in
            let ok = ref true in
            Pst.iter_nodes t (fun node ->
-               let c = Pst.node_count node in
+               let c = Pst.node_count t node in
                let label = Array.of_list (Pst.node_label t node) in
                (* every extension of the label by one front symbol *)
                for sym = 0 to 3 do
                  let ext = Array.append [| sym |] label in
                  match Pst.find_node t ext with
-                 | Some child -> if Pst.node_count child > c then ok := false
+                 | Some child -> if Pst.node_count t child > c then ok := false
                  | None -> ()
                done);
            !ok));
@@ -411,6 +411,158 @@ let test_merge_reprunes_over_budget () =
     (Printf.sprintf "budget held (%d <= 40)" (Pst.n_nodes m))
     true (Pst.n_nodes m <= 40)
 
+(* ------------------------------------------------------------------ *)
+(* Flat node store: slot reuse, golden serialization, metrics          *)
+(* ------------------------------------------------------------------ *)
+
+(* A small tree pruned over and over: 14 pseudo-random sequences over
+   four symbols (half of them 'a') into a 30-node budget. The same
+   construction produced test/pst_golden.txt with the record-per-node
+   tree this store replaced. *)
+let golden_tree ?(seed = 12345) pruning =
+  let t =
+    Pst.create (cfg ~alphabet_size:4 ~max_depth:4 ~significance:3 ~max_nodes:30 ~pruning ())
+  in
+  let state = ref seed in
+  let next () =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    [| 0; 0; 0; 1; 1; 2; 3; 0 |].((!state lsr 16) land 7)
+  in
+  for i = 0 to 13 do
+    Pst.insert_sequence t (Array.init (20 + i) (fun _ -> next ()))
+  done;
+  t
+
+let test_golden_serialization () =
+  let expected = In_channel.with_open_bin "pst_golden.txt" In_channel.input_all in
+  let got =
+    String.concat "" (List.map (fun p -> Pst.to_string (golden_tree p)) Pruning.all)
+  in
+  Alcotest.(check string) "byte-identical to the fixture" expected got
+
+(* Node creations and pruned nodes are added once per call, not once per
+   node; the totals are the per-node ones, pinned from the tree this
+   store replaced. *)
+let test_metrics_pinned () =
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+      List.iter
+        (fun p -> ignore (Pst.merge (golden_tree p) (golden_tree ~seed:999 p)))
+        Pruning.all;
+      List.iter
+        (fun (name, want) ->
+          Alcotest.(check int) name want (Obs.Metrics.counter_value (Obs.Metrics.counter name)))
+        [
+          ("pst.insertions", 84); ("pst.symbols_inserted", 2226); ("pst.node_creations", 3047);
+          ("pst.prunings", 85); ("pst.nodes_pruned", 2905);
+        ])
+
+let test_copy_reused_slots () =
+  List.iter
+    (fun p ->
+      let t = golden_tree p in
+      let c = Pst.copy t in
+      Alcotest.(check bool) "copy equal" true (Pst.equal_structure t c);
+      (* Both sides prune and refill their freed slots identically. *)
+      let more = Sequence.of_string alpha "abcdabacadbbcaddacbdabbbacd" in
+      Pst.insert_sequence t more;
+      Pst.insert_sequence c more;
+      Alcotest.(check string) "copy evolves identically" (Pst.to_string t) (Pst.to_string c))
+    Pruning.all
+
+let test_roundtrip_reused_slots () =
+  List.iter
+    (fun p ->
+      let t = golden_tree p in
+      let r = Pst.of_string (Pst.to_string t) in
+      Alcotest.(check bool) "structure" true (Pst.equal_structure t r);
+      Alcotest.(check string) "bytes" (Pst.to_string t) (Pst.to_string r))
+    Pruning.all
+
+let test_merge_reused_slots () =
+  List.iter
+    (fun p ->
+      let a = golden_tree p and b = golden_tree ~seed:999 p in
+      (* Reloaded trees hold the same nodes in fresh, compact slots. *)
+      let reload t = Pst.of_string (Pst.to_string t) in
+      let m = Pst.merge a b and m' = Pst.merge (reload a) (reload b) in
+      Alcotest.(check string) "merge ignores slot layout" (Pst.to_string m') (Pst.to_string m))
+    Pruning.all
+
+(* Counts near 2^60 do not fit the packed sort keys, so the prune falls
+   back to the stdlib sort; it must still cut what the reference cuts. *)
+let test_wide_keys_fallback () =
+  let widen line =
+    match String.split_on_char ' ' line with
+    | "node" :: path :: count :: rest ->
+        String.concat " " ("node" :: path :: string_of_int (int_of_string count lsl 51) :: rest)
+    | _ -> line
+  in
+  List.iter
+    (fun p ->
+      let text = Pst.to_string (golden_tree p) in
+      let wide = String.concat "\n" (List.map widen (String.split_on_char '\n' text)) in
+      let t = Pst.of_string wide in
+      let oracle = Pst.copy t in
+      Pst.prune_to t 12;
+      Ref_prune.prune_to oracle 12;
+      Alcotest.(check bool) (Pruning.to_string p) true (Pst.equal_structure t oracle))
+    Pruning.all
+
+(* The store and arena only grow when the live tree outgrows them:
+   pruning's freed slots and blocks are refilled, not appended to. *)
+let test_footprint_bounded () =
+  let t = golden_tree Pruning.Smallest_count_first in
+  let before = (Pst.stats t).approx_bytes in
+  Alcotest.(check bool) "seven words per node at least" true (before >= 7 * 8 * Pst.n_nodes t);
+  for _ = 1 to 50 do
+    Pst.insert_sequence t (Sequence.of_string alpha "abcdabacadbbcaddacbdabbbacd")
+  done;
+  Alcotest.(check int) "unchanged under churn" before (Pst.stats t).approx_bytes;
+  Alcotest.(check bool) "copy no larger" true ((Pst.stats (Pst.copy t)).approx_bytes <= before)
+
+(* The sequences-to-oracle loop the tiny-budget property drives: each
+   insertion may prune (budget 30..300, so most do) and the next one
+   refills the freed slots. The reference tree has no budget; it is
+   pruned by Ref_prune to the same 80% target whenever it outgrows the
+   real tree's budget. *)
+let tiny_budget_property =
+  QCheck.Test.make ~name:"tiny budgets, slots reused = reference prune" ~count:120
+    QCheck.(
+      triple strategy_gen (int_range 30 300)
+        (Gen_common.texts_gen ~min_seqs:2 ~max_seqs:10 ~max_len:60 ~last:'f' ()))
+    (fun (pruning, budget, texts) ->
+      let real = build ~pruning ~significance:2 ~max_nodes:budget [] in
+      let oracle = build ~pruning ~significance:2 [] in
+      let config_line t = List.nth (String.split_on_char '\n' (Pst.to_string t)) 1 in
+      let as_real t =
+        (* The reference's nodes under the real tree's config line. *)
+        let lines = String.split_on_char '\n' (Pst.to_string t) in
+        Pst.of_string
+          (String.concat "\n"
+             (List.mapi (fun i l -> if i = 1 then config_line real else l) lines))
+      in
+      List.for_all
+        (fun s ->
+          let s = Sequence.of_string alpha s in
+          Pst.insert_sequence real s;
+          Pst.insert_sequence oracle s;
+          if Pst.n_nodes oracle > budget then Ref_prune.prune_to oracle (budget * 4 / 5);
+          Pst.n_nodes real = Pst.n_nodes oracle && Pst.equal_structure real (as_real oracle))
+        texts)
+
+let key_sort_property =
+  QCheck.Test.make ~name:"Key_sort = Array.sort on key bits" ~count:200
+    QCheck.(pair (int_range 9 12) (list_of_size (Gen.int_range 0 400) (int_range 0 40)))
+    (fun (shift, keys) ->
+      (* Distinct positions below the key bits, so every move shows. *)
+      let a = Array.of_list (List.mapi (fun i k -> (k lsl shift) lor i) keys) in
+      let b = Array.copy a in
+      Key_sort.sort a ~len:(Array.length a) ~shift;
+      Array.sort (fun x y -> compare (x lsr shift) (y lsr shift)) b;
+      a = b)
+
 let () =
   Alcotest.run "pst"
     [
@@ -447,6 +599,18 @@ let () =
         ] );
       ("property", qcheck_tests);
       ("oracle", prune_oracle_tests);
+      ( "store",
+        [
+          Alcotest.test_case "golden serialization" `Quick test_golden_serialization;
+          Alcotest.test_case "metrics pinned" `Quick test_metrics_pinned;
+          Alcotest.test_case "copy, reused slots" `Quick test_copy_reused_slots;
+          Alcotest.test_case "round-trip, reused slots" `Quick test_roundtrip_reused_slots;
+          Alcotest.test_case "merge, reused slots" `Quick test_merge_reused_slots;
+          Alcotest.test_case "wide keys fall back" `Quick test_wide_keys_fallback;
+          Alcotest.test_case "footprint bounded" `Quick test_footprint_bounded;
+          QCheck_alcotest.to_alcotest tiny_budget_property;
+          QCheck_alcotest.to_alcotest key_sort_property;
+        ] );
       ( "merge",
         Alcotest.test_case "config mismatch rejected" `Quick test_merge_config_mismatch
         :: Alcotest.test_case "re-prunes over budget" `Quick test_merge_reprunes_over_budget
