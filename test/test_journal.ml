@@ -138,6 +138,45 @@ let test_journal_identical_across_domains () =
         Alcotest.failf "journal diverges at record %d: %s vs %s" a.j_seq a.j_event b.j_event)
     base par
 
+(* Every [cluster.froze] reports the membership its cluster held when
+   the automaton was announced. Memberships are replayed from the
+   journal itself: [seq.joined] adds a fresh joiner, [seq.left] drops a
+   member that did not rejoin, [cluster.dismissed] retires the cluster. *)
+let test_froze_size_is_membership () =
+  let entries = journal_of_run ~domains:1 in
+  let num name (e : Obs.Journal.entry) =
+    match List.assoc_opt name e.j_fields with
+    | Some (Bench_json.Num v) -> int_of_float v
+    | _ -> Alcotest.failf "record %d (%s): %s missing" e.j_seq e.j_event name
+  in
+  let members : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
+  let set_of cid =
+    match Hashtbl.find_opt members cid with
+    | Some s -> s
+    | None ->
+        let s = Hashtbl.create 64 in
+        Hashtbl.replace members cid s;
+        s
+  in
+  let froze = ref 0 and nonzero = ref 0 in
+  List.iter
+    (fun (e : Obs.Journal.entry) ->
+      match e.j_event with
+      | "seq.joined" -> Hashtbl.replace (set_of (num "cluster" e)) (num "seq" e) ()
+      | "seq.left" -> Hashtbl.remove (set_of (num "cluster" e)) (num "seq" e)
+      | "cluster.dismissed" -> Hashtbl.remove members (num "cluster" e)
+      | "cluster.froze" ->
+          let size = Hashtbl.length (set_of (num "cluster" e)) in
+          incr froze;
+          if size > 0 then incr nonzero;
+          Alcotest.(check int)
+            (Printf.sprintf "record %d: cluster %d froze size" e.j_seq (num "cluster" e))
+            size (num "size" e)
+      | _ -> ())
+    entries;
+  Alcotest.(check bool) "some froze events" true (!froze > 0);
+  Alcotest.(check bool) "some froze on a populated cluster" true (!nonzero > 0)
+
 (* --- sharded runs ---------------------------------------------------- *)
 
 let journal_of_sharded ~domains ~shards =
@@ -201,6 +240,8 @@ let () =
         [
           Alcotest.test_case "identical across domain counts" `Quick
             test_journal_identical_across_domains;
+          Alcotest.test_case "froze size is the cluster's membership" `Quick
+            test_froze_size_is_membership;
           Alcotest.test_case "shards=1 journal matches the plain path" `Quick
             test_shards_one_journal_matches_plain;
           Alcotest.test_case "sharded journal identical across domain counts" `Quick
