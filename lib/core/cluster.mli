@@ -39,13 +39,14 @@ val clear_members : t -> unit
 val compile : t -> unit
 (** Build (and cache) the {!Psa.t} scoring automaton for the cluster's
     current PST, if not already cached and {!Psa.enabled}. Called on the
-    main domain at the start of every read-only scoring sweep; any later
-    {!absorb} drops the cache, so the automaton can never go stale.
-    Idempotent and cheap when the cache is already present. Journals a
-    [cluster.froze] event when {!Obs.Journal} is enabled and an
-    automaton was built since the last call — by this call, or quietly
-    by {!similarity} — so a mid-pass recompile is announced here, where
-    an eager compile would have been. *)
+    main domain before every parallel scoring fan-out, since it
+    journals; any later {!absorb} drops the cache, so the automaton can
+    never go stale. Idempotent and cheap when the cache is already
+    present. Journals a [cluster.froze] event, with the cluster's
+    current {!size}, when {!Obs.Journal} is enabled and an automaton was
+    built since the last call — by this call, or quietly by
+    {!similarity} — so a mid-pass recompile is announced here, where an
+    eager compile would have been. *)
 
 val score_cache : t -> Similarity.result array option
 (** The previous reclustering pass's score column against this cluster
@@ -73,7 +74,9 @@ val similarity : t -> log_background:float array -> Sequence.t -> Similarity.res
     is one; after an {!absorb}, the tree walk until the walked symbols
     pay for a recompile, then the recompiled automaton. The two paths
     are bit-for-bit equal, so the choice is invisible to callers. May
-    compile, so call it on the main domain. *)
+    compile (quietly: {!compile} announces it later) and mutates the
+    scorer's walk tally, so only the one task that owns the cluster in
+    a reclustering pass may call it. *)
 
 val similarity_batch :
   t ->

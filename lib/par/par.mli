@@ -1,12 +1,14 @@
-(** Domain-parallel execution for the read-only hot loops.
+(** Domain-parallel execution for the pipeline's hot loops.
 
     A persistent pool of worker domains ([Domain] + [Mutex]/[Condition])
     behind two data-parallel primitives, {!parallel_for} and
-    {!map_chunks}. The pool exists to parallelize the {e read-only} side
-    of the pipeline — similarity scoring of (sequence, cluster) pairs,
-    classifier batches, pairwise distance matrices — while all model
-    mutation (PST insertion, membership updates, threshold moves) stays
-    on the submitting domain. See DESIGN.md §7.
+    {!map_chunks}. The pool runs the pipeline's independent work: the
+    read-only scoring sweeps (seed selection, classifier batches,
+    pairwise distance matrices) and the reclustering pass, where each
+    task owns one cluster and is the only one to mutate its model (PST
+    insertion, membership updates) during the pass. Everything shared —
+    the threshold, the journal, gauges, the merge of the tasks' results
+    — stays on the submitting domain. See DESIGN.md §7.
 
     {b Determinism contract.} Both primitives produce results that are
     bit-identical for every pool size and every chunking: work items are
@@ -21,8 +23,10 @@
     A body that re-enters the pool (nested submission) runs its job
     inline on the calling domain rather than deadlocking. Worker bodies
     must confine themselves to read-only shared data plus writes to
-    disjoint slots they own; of the {!Obs} registry they may touch
-    counters and histograms (both atomic — histograms since the
+    disjoint slots or objects they own (a reclustering task owns one
+    cluster: its PST, automaton, member set and score cache, which no
+    other task reads during the pass); of the {!Obs} registry they may
+    touch counters and histograms (both atomic — histograms since the
     flight-recorder PR; previously [par.steal_wait_seconds] was
     observed under a histograms-are-main-domain-only contract, which
     held only because the pipeline always submits from the main

@@ -264,6 +264,13 @@ let test_single_sequence () =
   in
   Alcotest.(check bool) "single sequence runs" true (res.iterations >= 1)
 
+(* No sequences: no cluster is seeded and every pass is empty. *)
+let test_empty_database () =
+  let db = Seq_database.create Alphabet.lowercase [||] in
+  let res = Cluseq.run ~config:small_config db in
+  Alcotest.(check int) "no clusters" 0 res.n_clusters;
+  Alcotest.(check int) "no assignments" 0 (Array.length res.assignments)
+
 let test_hard_labels () =
   let w, res = run_small () in
   let n = Seq_database.n_sequences w.db in
@@ -341,6 +348,7 @@ let () =
           Alcotest.test_case "scaled config" `Quick test_scaled_config;
           Alcotest.test_case "tiny database" `Quick test_tiny_database;
           Alcotest.test_case "single sequence" `Quick test_single_sequence;
+          Alcotest.test_case "empty database" `Quick test_empty_database;
           Alcotest.test_case "hard labels" `Slow test_hard_labels;
           Alcotest.test_case "history consistency" `Slow test_history_consistency;
         ] );
