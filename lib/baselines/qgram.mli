@@ -8,10 +8,19 @@
     sequential relationships {e between} q-grams, which is precisely the
     accuracy gap Table 2 demonstrates.
 
-    Profiles are keyed by [Sketch.gram_key]: exact packed ints for
-    [q <= 3] with symbol codes below [Sketch.packed_symbol_limit] (every
-    workload in this repo), a negligible-collision 62-bit mix outside
-    that envelope. *)
+    Profiles are keyed by {!gram_key}: exact packed ints for [q <= 3]
+    with symbol codes below [2^20] (every workload in this repo), a
+    negligible-collision 62-bit mix outside that envelope. *)
+
+val gram_key : Sequence.t -> pos:int -> q:int -> int
+(** [gram_key s ~pos ~q] is the int key of the window [s.(pos) ..
+    s.(pos+q-1)], non-negative and a function of the window's contents
+    only. For [q <= 3] and symbol codes below [2^20] it is the exact
+    base-[2^20] packing of the window, so distinct q-grams always get
+    distinct keys; outside that envelope it falls back to an iterated
+    64-bit mix, where collisions are possible in principle but
+    negligible. No bounds checking beyond the array's own. Raises
+    [Invalid_argument] when [q <= 0]. *)
 
 type profile
 (** A sparse q-gram count vector with its L2 norm. *)

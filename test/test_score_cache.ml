@@ -7,7 +7,7 @@ let alpha = Alphabet.lowercase
 let enc = Sequence.of_string alpha
 
 (* ------------------------------------------------------------------ *)
-(* Shared key kernel                                                   *)
+(* q-gram key kernel                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_packed_keys_collision_free () =
@@ -17,7 +17,7 @@ let test_packed_keys_collision_free () =
   for a = 0 to 7 do
     for b = 0 to 7 do
       for c = 0 to 7 do
-        let key = Sketch.gram_key [| a; b; c |] ~pos:0 ~q:3 in
+        let key = Qgram.gram_key [| a; b; c |] ~pos:0 ~q:3 in
         (match Hashtbl.find_opt seen key with
         | Some other ->
             Alcotest.failf "grams %s and %s collide on key %d"
