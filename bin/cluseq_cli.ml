@@ -187,9 +187,12 @@ let shards_arg =
         ~doc:
           "Partition the database into $(docv) deterministic shards, run the full CLUSEQ \
            loop per shard concurrently on the domain pool, and merge the per-shard models \
-           into consolidated clusters (counts-added PSTs; cross-shard cluster pairs under a \
-           symmetrized-KL threshold are unioned — see DESIGN.md §14). 1 is exactly the \
-           unsharded run. Defaults to the $(b,CLUSEQ_SHARDS) environment variable, or 1.")
+           into consolidated clusters (counts-added PSTs). Two clusters from different \
+           shards are unioned when their symmetrized KL divergence is below a saturation \
+           cap, one is the other's nearest neighbour, and a majority of each side's \
+           sampled members clear the retention threshold under the other side's model \
+           (mutual cross-acceptance; see DESIGN.md §14). 1 is exactly the unsharded run. Defaults to the $(b,CLUSEQ_SHARDS) environment \
+           variable, or 1.")
 
 let resolve_shards = function
   | Some s -> s
