@@ -77,27 +77,35 @@ let score_psa psa ~log_background s =
       invalid_arg "Similarity.score_psa: log_background shorter than the alphabet";
     let trans = Psa.transitions psa in
     let emit = Psa.emissions psa in
-    (* Tail recursion keeps the accumulators in registers — a float [ref]
-       would box on every store. The unsafe reads are guarded by the
-       symbol range check ([state] only ever comes from [trans], whose
-       entries are states by construction). *)
-    let rec go i state y z start blo bhi =
-      if i >= l then { log_sim = z; seg_lo = blo; seg_hi = bhi }
+    (* Local refs that never escape compile to unboxed mutable
+       variables, so the scan allocates nothing per symbol (float
+       arguments of a local recursive function would be boxed on every
+       call). The unsafe reads are guarded by the symbol range check
+       ([state] only ever comes from [trans], whose entries are states
+       by construction). *)
+    let state = ref 0 in
+    let y = ref neg_infinity and z = ref neg_infinity in
+    let start = ref 0 and blo = ref 0 and bhi = ref 0 in
+    for i = 0 to l - 1 do
+      let sym = Array.unsafe_get s i in
+      if sym < 0 || sym >= n then
+        invalid_arg "Similarity.score_psa: symbol outside the compiled alphabet";
+      let idx = (!state * n) + sym in
+      let x = Bigarray.Array1.unsafe_get emit idx -. Array.unsafe_get log_background sym in
+      (* Y_i = max (Y_{i-1} + X_i, X_i), as in [score]. *)
+      if !y >= 0.0 then y := !y +. x
       else begin
-        let sym = Array.unsafe_get s i in
-        if sym < 0 || sym >= n then
-          invalid_arg "Similarity.score_psa: symbol outside the compiled alphabet";
-        let idx = (state * n) + sym in
-        let x = Bigarray.Array1.unsafe_get emit idx -. Array.unsafe_get log_background sym in
-        let extend = y >= 0.0 in
-        let y' = if extend then y +. x else x in
-        let start' = if extend then start else i in
-        let state' = Bigarray.Array1.unsafe_get trans idx in
-        if y' > z then go (i + 1) state' y' y' start' start' i
-        else go (i + 1) state' y' z start' blo bhi
+        y := x;
+        start := i
+      end;
+      state := Bigarray.Array1.unsafe_get trans idx;
+      if !y > !z then begin
+        z := !y;
+        blo := !start;
+        bhi := i
       end
-    in
-    go 0 0 neg_infinity neg_infinity 0 0 0
+    done;
+    { log_sim = !z; seg_lo = !blo; seg_hi = !bhi }
   end
 
 (* Batch-first front end over [Psa.score_batch]: one automaton over a
@@ -122,7 +130,7 @@ let score_batch psa ~log_background ~batch seqs =
 
 type attribution = { attr_result : result; attr_xs : float array; attr_depths : int array }
 
-(* [score_psa] with per-position provenance: the recursion below is a
+(* [score_psa] with per-position provenance: the loop below is a
    verbatim copy of the one above plus two array stores per symbol, so
    every float operation happens in the same order on the same values —
    the totals are bit-for-bit equal (property-tested). Kept separate
@@ -142,30 +150,34 @@ let score_attributed psa ~log_background s =
     let emit = Psa.emissions psa in
     let xs = Array.make l 0.0 in
     let depths = Array.make l 0 in
-    let rec go i state y z start blo bhi =
-      if i >= l then
-        {
-          attr_result = { log_sim = z; seg_lo = blo; seg_hi = bhi };
-          attr_xs = xs;
-          attr_depths = depths;
-        }
+    let state = ref 0 in
+    let y = ref neg_infinity and z = ref neg_infinity in
+    let start = ref 0 and blo = ref 0 and bhi = ref 0 in
+    for i = 0 to l - 1 do
+      let sym = Array.unsafe_get s i in
+      if sym < 0 || sym >= n then
+        invalid_arg "Similarity.score_attributed: symbol outside the compiled alphabet";
+      let idx = (!state * n) + sym in
+      let x = Bigarray.Array1.unsafe_get emit idx -. Array.unsafe_get log_background sym in
+      Array.unsafe_set xs i x;
+      Array.unsafe_set depths i (Psa.prediction_depth psa !state);
+      if !y >= 0.0 then y := !y +. x
       else begin
-        let sym = Array.unsafe_get s i in
-        if sym < 0 || sym >= n then
-          invalid_arg "Similarity.score_attributed: symbol outside the compiled alphabet";
-        let idx = (state * n) + sym in
-        let x = Bigarray.Array1.unsafe_get emit idx -. Array.unsafe_get log_background sym in
-        Array.unsafe_set xs i x;
-        Array.unsafe_set depths i (Psa.prediction_depth psa state);
-        let extend = y >= 0.0 in
-        let y' = if extend then y +. x else x in
-        let start' = if extend then start else i in
-        let state' = Bigarray.Array1.unsafe_get trans idx in
-        if y' > z then go (i + 1) state' y' y' start' start' i
-        else go (i + 1) state' y' z start' blo bhi
+        y := x;
+        start := i
+      end;
+      state := Bigarray.Array1.unsafe_get trans idx;
+      if !y > !z then begin
+        z := !y;
+        blo := !start;
+        bhi := i
       end
-    in
-    go 0 0 neg_infinity neg_infinity 0 0 0
+    done;
+    {
+      attr_result = { log_sim = !z; seg_lo = !blo; seg_hi = !bhi };
+      attr_xs = xs;
+      attr_depths = depths;
+    }
   end
 
 (* Kadane never resets inside a winning segment (a reset would have moved
