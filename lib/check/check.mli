@@ -46,12 +46,13 @@ val reference_recluster :
 (** Serial reference replay of one reclustering pass from its frozen
     snapshot: visit sequences in the recorded order and score each
     against every cluster's {e current} (evolving) model copy — no
-    parallel score matrix, no dirty tracking — joining, absorbing and
+    per-cluster tasks, no dirty tracking — joining, absorbing and
     recording assignments with the engine's exact rules. Returns the
     per-cluster memberships and per-sequence assignment lists the pass
     must produce. Because scoring is deterministic, the engine's
-    optimized pass (parallel matrix + score-column cache + dirty-cluster
-    rescoring) must match this replay bit-for-bit. *)
+    optimized pass (one parallel chain per cluster + score-column cache
+    + dirty-cluster rescoring + serial merge) must match this replay
+    bit-for-bit. *)
 
 val recluster_matches :
   Cluseq.recluster_snapshot ->

@@ -114,25 +114,25 @@ type phase_timings = {
 type scan_census = {
   pairs_scored : int;
       (** (sequence, cluster) similarity evaluations in this iteration's
-          reclustering pass: the parallel matrix's columns for clusters
-          without a cached score column, plus serial rescores against
-          clusters whose PST absorbed a joiner. *)
+          reclustering pass: the full column of every cluster without
+          a cached score column, plus rescores against clusters whose
+          PST absorbed a joiner. *)
   pairs_joined : int;  (** Evaluations at or above the join threshold. *)
   dirty_rescores : int;
-      (** Serial re-evaluations against mutated ("dirty") clusters —
-          the part of the scan the parallel matrix could not cover. *)
+      (** Re-evaluations against mutated ("dirty") clusters — the
+          part of the scan the pass-start column could not cover. *)
   assignments_changed : int;
       (** Sequences whose membership set changed this iteration (equals
           [membership_changes]). *)
   pairs_reused : int;
-      (** Matrix entries satisfied from a clean cluster's cached score
+      (** Pairs satisfied from a clean cluster's cached score
           column instead of a fresh evaluation (bit-identical by
           determinism — see {!Cluster.score_cache}). Reused pairs are
           {e not} in [pairs_scored]. *)
   score_calls : (int * int) array;
       (** Per cluster scored this iteration: (cluster id, similarity
-          calls against it) — its matrix column ([n], or [0] when the
-          cached column was reused) plus its dirty rescores. *)
+          calls against it) — its pass-start column ([n], or [0] when
+          the cached column was reused) plus its dirty rescores. *)
 }
 (** Scan-efficiency census of one reclustering pass (DESIGN.md §10):
     the baseline any candidate-pruning optimization must beat. Counts
